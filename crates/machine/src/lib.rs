@@ -38,7 +38,7 @@ pub use controller::MemoryControllers;
 pub use ids::{CpuId, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 pub use interconnect::Interconnect;
 pub use latency::{AccessLevel, LatencyModel};
-pub use page::{FaultKind, PageMap, PageQuery};
+pub use page::{FaultKind, PageMap, PageQuery, RegionView};
 pub use policy::PlacementPolicy;
 pub use presets::MachinePreset;
 pub use topology::Topology;
@@ -162,7 +162,8 @@ mod tests {
         let m2 = m.clone();
         m.page_map()
             .register_region(0x1000, 0x4000, PlacementPolicy::Bind(DomainId(3)));
-        m.page_map().touch(0x1000, DomainId(0));
+        m.page_map()
+            .touch(&mut RegionView::default(), 0x1000, DomainId(0));
         assert_eq!(m2.domain_of_addr(0x1000), Some(DomainId(3)));
     }
 

@@ -12,13 +12,21 @@
 //!   delivers to the profiler, which attributes it and restores access.
 //!
 //! The map is organized as a sorted list of *regions* (one per allocation),
-//! each holding per-page atomic state, so the per-access fast path is a read
-//! lock + binary search + two relaxed atomic loads.
+//! each holding per-page atomic state. The list sits behind a lock and a
+//! version counter that every `register_region`/`remove_region` bumps.
+//! Each simulated thread keeps a [`RegionView`]: its own copy of the list
+//! (sharing the regions, and so their per-page atomics) plus the version
+//! it was copied at. The per-access fast path [`PageMap::touch`] is one
+//! acquire load of the version, a binary search of the thread's own copy,
+//! and plain atomic loads of the page's protection and binding bytes —
+//! no lock, and no read-modify-write unless the page is trapping or not
+//! yet bound.
 
 use crate::ids::{pages_spanned, DomainId, PageNum, PAGE_SHIFT, PAGE_SIZE};
 use crate::policy::PlacementPolicy;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 /// Sentinel for "page not yet bound to any domain".
 const UNBOUND: u8 = u8::MAX;
@@ -75,7 +83,20 @@ impl Region {
 /// Concurrent page map for one machine.
 pub struct PageMap {
     num_domains: usize,
-    regions: RwLock<Vec<Region>>,
+    regions: RwLock<Vec<Arc<Region>>>,
+    /// Bumped under the write lock by every change to `regions`; starts
+    /// at 1 so a fresh [`RegionView`] (version 0) copies on first use.
+    version: AtomicU64,
+}
+
+/// One thread's private copy of a [`PageMap`]'s region list, refreshed
+/// only when the map's version moves. The regions themselves are shared,
+/// so page bindings and protection stay global. A view belongs to the
+/// one map it is passed to.
+#[derive(Default)]
+pub struct RegionView {
+    regions: Vec<Arc<Region>>,
+    version: u64,
 }
 
 impl PageMap {
@@ -84,6 +105,7 @@ impl PageMap {
         PageMap {
             num_domains,
             regions: RwLock::new(Vec::new()),
+            version: AtomicU64::new(1),
         }
     }
 
@@ -102,13 +124,13 @@ impl PageMap {
             assert!(d.index() < self.num_domains, "bind domain out of range");
         }
         let pages = pages_spanned(start, bytes) as usize;
-        let region = Region {
+        let region = Arc::new(Region {
             start,
             bytes,
             policy,
             domains: (0..pages).map(|_| AtomicU8::new(UNBOUND)).collect(),
             prot: (0..pages).map(|_| AtomicU8::new(PROT_NONE)).collect(),
-        };
+        });
         let mut regions = self.regions.write();
         let pos = regions.partition_point(|r| r.start < start);
         if pos > 0 {
@@ -120,6 +142,7 @@ impl PageMap {
             assert!(region.end() <= next.start, "region overlaps successor");
         }
         regions.insert(pos, region);
+        self.version.fetch_add(1, Ordering::Release);
     }
 
     /// Remove the region starting at `start` (e.g. on `free`). Returns true
@@ -128,6 +151,7 @@ impl PageMap {
         let mut regions = self.regions.write();
         if let Ok(idx) = regions.binary_search_by_key(&start, |r| r.start) {
             regions.remove(idx);
+            self.version.fetch_add(1, Ordering::Release);
             true
         } else {
             false
@@ -137,25 +161,34 @@ impl PageMap {
     /// Resolve an access to `addr` by a thread running in `toucher`'s
     /// domain: binds the page if this is its first touch and reports any
     /// protection fault (clearing the protection so the access can retry).
+    /// `view` is the calling thread's copy of the region list; it is
+    /// refreshed first if a region was registered or removed since it was
+    /// taken.
     ///
     /// # Panics
     /// Panics if `addr` does not fall in any registered region ("wild"
     /// accesses are workload bugs).
-    pub fn touch(&self, addr: u64, toucher: DomainId) -> PageQuery {
-        let regions = self.regions.read();
-        let r = Self::find(&regions, addr)
+    pub fn touch(&self, view: &mut RegionView, addr: u64, toucher: DomainId) -> PageQuery {
+        if view.version != self.version.load(Ordering::Acquire) {
+            // Copy and version read under one read lock: writers bump the
+            // version while they hold the write lock, so the pair agrees.
+            let regions = self.regions.read();
+            view.version = self.version.load(Ordering::Relaxed);
+            view.regions.clone_from(&regions);
+        }
+        let r = Self::find(&view.regions, addr)
             .unwrap_or_else(|| panic!("access to unmapped address {addr:#x}"));
         let idx = r.page_index(addr);
 
         // Protection check first: the fault conceptually precedes the access.
-        let fault = if r.prot[idx]
-            .compare_exchange(PROT_TRAP, PROT_NONE, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(FaultKind::FirstTouchTrap)
-        } else {
-            None
-        };
+        // The CAS only runs on a page that still looks protected; on any
+        // other page it would fail and change nothing.
+        let prot = &r.prot[idx];
+        let fault = (prot.load(Ordering::Relaxed) == PROT_TRAP
+            && prot
+                .compare_exchange(PROT_TRAP, PROT_NONE, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok())
+        .then_some(FaultKind::FirstTouchTrap);
 
         let cell = &r.domains[idx];
         let current = cell.load(Ordering::Acquire);
@@ -272,7 +305,7 @@ impl PageMap {
             .sum()
     }
 
-    fn find(regions: &[Region], addr: u64) -> Option<&Region> {
+    fn find(regions: &[Arc<Region>], addr: u64) -> Option<&Region> {
         let pos = regions.partition_point(|r| r.start <= addr);
         if pos == 0 {
             return None;
@@ -295,12 +328,13 @@ mod tests {
     #[test]
     fn first_touch_binds_to_toucher() {
         let m = map();
+        let mut v = RegionView::default();
         m.register_region(BASE, 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
-        let q = m.touch(BASE + 10, DomainId(3));
+        let q = m.touch(&mut v, BASE + 10, DomainId(3));
         assert_eq!(q.domain, DomainId(3));
         assert!(q.bound_now);
         // Second touch from elsewhere does not rebind.
-        let q2 = m.touch(BASE + 20, DomainId(5));
+        let q2 = m.touch(&mut v, BASE + 20, DomainId(5));
         assert_eq!(q2.domain, DomainId(3));
         assert!(!q2.bound_now);
         assert_eq!(m.domain_of_addr(BASE), Some(DomainId(3)));
@@ -316,9 +350,10 @@ mod tests {
     #[test]
     fn interleave_ignores_toucher() {
         let m = map();
+        let mut v = RegionView::default();
         m.register_region(BASE, 4 * PAGE_SIZE, PlacementPolicy::interleave_all(4));
         for p in 0..4u64 {
-            let q = m.touch(BASE + p * PAGE_SIZE, DomainId(7));
+            let q = m.touch(&mut v, BASE + p * PAGE_SIZE, DomainId(7));
             assert_eq!(q.domain, DomainId((p % 4) as u8));
         }
     }
@@ -326,9 +361,10 @@ mod tests {
     #[test]
     fn blockwise_distribution_binds_blocks() {
         let m = map();
+        let mut v = RegionView::default();
         m.register_region(BASE, 8 * PAGE_SIZE, PlacementPolicy::blockwise_all(4));
         for p in 0..8u64 {
-            m.touch(BASE + p * PAGE_SIZE, DomainId(0));
+            m.touch(&mut v, BASE + p * PAGE_SIZE, DomainId(0));
         }
         let hist = m.binding_histogram(BASE).unwrap();
         assert_eq!(hist, vec![2, 2, 2, 2, 0, 0, 0, 0]);
@@ -337,7 +373,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unmapped")]
     fn wild_access_panics() {
-        map().touch(0xdead_0000, DomainId(0));
+        map().touch(&mut RegionView::default(), 0xdead_0000, DomainId(0));
     }
 
     #[test]
@@ -351,13 +387,14 @@ mod tests {
     #[test]
     fn adjacent_regions_allowed() {
         let m = map();
+        let mut v = RegionView::default();
         m.register_region(BASE, 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         m.register_region(
             BASE + 4 * PAGE_SIZE,
             PAGE_SIZE,
             PlacementPolicy::Bind(DomainId(1)),
         );
-        let q = m.touch(BASE + 4 * PAGE_SIZE, DomainId(0));
+        let q = m.touch(&mut v, BASE + 4 * PAGE_SIZE, DomainId(0));
         assert_eq!(q.domain, DomainId(1));
     }
 
@@ -371,18 +408,46 @@ mod tests {
     }
 
     #[test]
+    fn region_registered_after_view_was_taken_is_visible() {
+        let m = map();
+        let mut v = RegionView::default();
+        m.register_region(BASE, PAGE_SIZE, PlacementPolicy::FirstTouch);
+        m.touch(&mut v, BASE, DomainId(0));
+        m.register_region(
+            BASE + 4 * PAGE_SIZE,
+            PAGE_SIZE,
+            PlacementPolicy::Bind(DomainId(2)),
+        );
+        let q = m.touch(&mut v, BASE + 4 * PAGE_SIZE, DomainId(0));
+        assert_eq!(q.domain, DomainId(2));
+        assert!(q.bound_now);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unmapped address")]
+    fn removed_region_is_unmapped_for_an_existing_view() {
+        let m = map();
+        let mut v = RegionView::default();
+        m.register_region(BASE, PAGE_SIZE, PlacementPolicy::FirstTouch);
+        m.touch(&mut v, BASE, DomainId(0));
+        m.remove_region(BASE);
+        m.touch(&mut v, BASE, DomainId(0));
+    }
+
+    #[test]
     fn protection_faults_once_per_page() {
         let m = map();
+        let mut v = RegionView::default();
         m.register_region(BASE, 4 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         assert_eq!(m.protect_extent(BASE, 4 * PAGE_SIZE), 4);
         assert!(m.is_protected(BASE));
-        let q = m.touch(BASE + 100, DomainId(0));
+        let q = m.touch(&mut v, BASE + 100, DomainId(0));
         assert_eq!(q.fault, Some(FaultKind::FirstTouchTrap));
         // Fault already consumed; subsequent touches of the same page are clean.
-        let q2 = m.touch(BASE + 200, DomainId(0));
+        let q2 = m.touch(&mut v, BASE + 200, DomainId(0));
         assert_eq!(q2.fault, None);
         // Other pages still protected.
-        let q3 = m.touch(BASE + PAGE_SIZE, DomainId(0));
+        let q3 = m.touch(&mut v, BASE + PAGE_SIZE, DomainId(0));
         assert_eq!(q3.fault, Some(FaultKind::FirstTouchTrap));
     }
 
@@ -426,7 +491,9 @@ mod tests {
         let mut handles = Vec::new();
         for t in 0..8u8 {
             let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || m.touch(BASE, DomainId(t))));
+            handles.push(std::thread::spawn(move || {
+                m.touch(&mut RegionView::default(), BASE, DomainId(t))
+            }));
         }
         let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         let winners = results.iter().filter(|q| q.bound_now).count();

@@ -56,14 +56,18 @@ impl CacheConfig {
 }
 
 /// A tags-only set-associative cache with true-LRU replacement.
+///
+/// Each set keeps its ways in recency order, most recent first: a hit
+/// rotates the way to the front, and a miss shifts the set right and
+/// inserts at the front, dropping the tail. Empty ways (`INVALID`) only
+/// ever form the tail, so a set fills its empty ways before it evicts,
+/// and the evicted line is always the least recently used one.
 pub struct Cache {
     sets: usize,
     assoc: usize,
-    /// `sets × assoc` line numbers (`addr >> LINE_SHIFT`), row per set.
+    /// `sets × assoc` line numbers (`addr >> LINE_SHIFT`), row per set,
+    /// each row in recency order.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -76,8 +80,6 @@ impl Cache {
             sets,
             assoc,
             tags: vec![INVALID; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -93,32 +95,16 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> LINE_SHIFT;
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        self.tick += 1;
+        let base = self.set_of(line) * self.assoc;
         let ways = &mut self.tags[base..base + self.assoc];
         if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.tick;
+            ways[..=w].rotate_right(1);
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        // Evict the LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            let idx = base + w;
-            if self.tags[idx] == INVALID {
-                victim = w;
-                break;
-            }
-            if self.stamps[idx] < oldest {
-                oldest = self.stamps[idx];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
+        ways.rotate_right(1);
+        ways[0] = line;
         false
     }
 
@@ -133,7 +119,6 @@ impl Cache {
     /// Drop all lines (e.g. between experiment phases).
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
-        self.stamps.fill(0);
     }
 
     pub fn hits(&self) -> u64 {
@@ -144,19 +129,122 @@ impl Cache {
         self.misses
     }
 
-    /// Approximate resident size of the simulator structure itself.
+    /// Resident size of the tag array, the bulk of the structure.
     pub fn footprint_bytes(&self) -> usize {
-        self.tags.len() * 16
+        std::mem::size_of_val(self.tags.as_slice())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference true-LRU cache: per-way last-use stamps from a global
+    /// tick, a hit refreshes the stamp, a miss fills the first empty way
+    /// or else evicts the minimum stamp.
+    struct StampLru {
+        sets: usize,
+        assoc: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(config: CacheConfig) -> Self {
+            let (sets, assoc) = (config.sets(), config.associativity);
+            StampLru {
+                sets,
+                assoc,
+                tags: vec![INVALID; sets * assoc],
+                stamps: vec![0; sets * assoc],
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn row(&self, addr: u64) -> (u64, usize) {
+            let line = addr >> LINE_SHIFT;
+            (line, (line as usize & (self.sets - 1)) * self.assoc)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let (line, base) = self.row(addr);
+            self.tick += 1;
+            let row = base..base + self.assoc;
+            if let Some(w) = self.tags[row.clone()].iter().position(|&t| t == line) {
+                self.stamps[base + w] = self.tick;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            let victim = row
+                .clone()
+                .find(|&i| self.tags[i] == INVALID)
+                .unwrap_or_else(|| row.min_by_key(|&i| self.stamps[i]).unwrap());
+            self.tags[victim] = line;
+            self.stamps[victim] = self.tick;
+            false
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (line, base) = self.row(addr);
+            self.tags[base..base + self.assoc].contains(&line)
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(INVALID);
+            self.stamps.fill(0);
+        }
+    }
+
+    proptest! {
+        /// The recency-ordered sets answer exactly like the stamp model:
+        /// same hit/miss per access, same probes, same totals.
+        #[test]
+        fn recency_order_matches_min_stamp_lru(
+            ways in 1usize..17,
+            set_bits in 0u32..7,
+            ops in prop::collection::vec((0u64..1024, 0u64..64, 0u8..32), 1..600),
+        ) {
+            let sets = 1usize << set_bits;
+            let config = CacheConfig::new((sets * ways) as u64 * LINE_SIZE, ways);
+            let (mut cache, mut oracle) = (Cache::new(config), StampLru::new(config));
+            // Three times the capacity in distinct lines: sets overflow
+            // and evict, but lines still come back often enough to hit.
+            let span = (3 * sets * ways) as u64;
+            for (raw, offset, op) in ops {
+                let addr = (raw % span) * LINE_SIZE + offset;
+                match op {
+                    0 => {
+                        cache.flush();
+                        oracle.flush();
+                    }
+                    1..=3 => {} // probe only
+                    _ => prop_assert_eq!(cache.access(addr), oracle.access(addr), "{:#x}", addr),
+                }
+                for a in [addr, ((raw * 7 + 3) % span) * LINE_SIZE] {
+                    prop_assert_eq!(cache.probe(a), oracle.probe(a), "probe {:#x}", a);
+                }
+            }
+            prop_assert_eq!(cache.hits(), oracle.hits);
+            prop_assert_eq!(cache.misses(), oracle.misses);
+        }
+    }
 
     fn tiny() -> Cache {
         // 8 lines, 2-way → 4 sets.
         Cache::new(CacheConfig::new(8 * LINE_SIZE, 2))
+    }
+
+    #[test]
+    fn footprint_counts_tag_bytes() {
+        // 8 lines × 8-byte tags.
+        assert_eq!(tiny().footprint_bytes(), 64);
     }
 
     #[test]

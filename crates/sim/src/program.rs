@@ -21,7 +21,7 @@ use crate::func::{FrameKind, FuncRegistry};
 use crate::l3::L3Complex;
 use crate::monitor::{Monitor, NullMonitor};
 use crate::space::AddressSpace;
-use crate::thread::{ThreadCtx, ThreadState};
+use crate::thread::{LatencyTable, ThreadCtx, ThreadState};
 use numa_machine::{CpuId, Machine};
 use std::sync::Arc;
 
@@ -38,6 +38,7 @@ pub enum ExecMode {
 pub struct SharedEnv {
     pub(crate) machine: Machine,
     pub(crate) l3: L3Complex,
+    pub(crate) latencies: LatencyTable,
     pub(crate) space: AddressSpace,
     pub(crate) funcs: FuncRegistry,
     pub(crate) monitor: Arc<dyn Monitor>,
@@ -110,7 +111,8 @@ impl Program {
         assert_eq!(
             machine.page_map().region_count(),
             0,
-            "a Machine instance hosts one Program: its page map already              holds regions from a previous run — build a fresh Machine"
+            "a Machine instance hosts one Program: its page map already \
+             holds regions from a previous run — build a fresh Machine"
         );
         let l3 = L3Complex::new(
             machine.topology().domains(),
@@ -128,6 +130,7 @@ impl Program {
         let num_threads = threads.len();
         Program {
             env: SharedEnv {
+                latencies: LatencyTable::new(&machine),
                 machine,
                 l3,
                 space: AddressSpace::new(),
@@ -218,7 +221,7 @@ impl Program {
     /// then advance elapsed time by the slowest participant and
     /// synchronize every thread's clock to the barrier.
     fn join_region(&mut self, starts: &[(u64, u64)]) {
-        self.charge_region_contention(starts.len());
+        self.charge_region_contention();
         let mut max_delta = 0u64;
         let mut max_baseline_delta = 0u64;
         for (t, &(clock0, oh0)) in self.threads.iter().zip(starts) {
@@ -241,19 +244,18 @@ impl Program {
     /// domain `d` is `share_d × active_threads / cpus_per_domain`, and
     /// every thread's clock is charged its own stalls scaled by the
     /// domain's multiplier.
-    fn charge_region_contention(&mut self, _participants: usize) {
+    fn charge_region_contention(&mut self) {
         let domains = self.env.machine.topology().domains();
         let mut totals = vec![0u64; domains];
         let mut active_threads = 0u64;
         for t in &self.threads {
-            let mut any = false;
             for (d, s) in t.region_dram_stalls.iter().enumerate() {
                 totals[d] += s;
-                any |= *s > 0;
             }
-            // Threads that did any work this region count as active
-            // (concurrent) demand, DRAM-bound or not.
-            if any || !t.region_dram_stalls.is_empty() {
+            // Only threads with at least one DRAM access this region count
+            // as active (concurrent) demand: `region_dram_stalls` is sized
+            // on a thread's first DRAM access and stays empty otherwise.
+            if !t.region_dram_stalls.is_empty() {
                 active_threads += 1;
             }
         }
@@ -355,7 +357,7 @@ pub fn alloc_static(program: &mut Program, name: &str, bytes: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MemoryEvent;
+    use crate::event::{MemoryEvent, PageFaultEvent};
     use crate::func::Frame;
     use numa_machine::{MachinePreset, PlacementPolicy};
     use parking_lot::Mutex;
@@ -595,6 +597,70 @@ mod tests {
             });
         });
         assert_eq!(&*rec.0.lock(), &[1, 2]);
+    }
+
+    #[test]
+    fn region_allocated_mid_program_is_visible_to_every_thread() {
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+            let mut p = Program::unmonitored(machine(), 4, mode);
+            p.parallel("warm", |_, ctx| {
+                let a = ctx.alloc("early", 64, PlacementPolicy::FirstTouch);
+                ctx.load(a, 8);
+            });
+            let mut late = 0;
+            p.serial("alloc", |ctx| {
+                late = ctx.alloc("late", 4 * 4096, PlacementPolicy::FirstTouch);
+            });
+            p.parallel("use", |tid, ctx| ctx.store(late + tid as u64 * 4096, 8));
+            assert_eq!(p.finish().mem_accesses, 8);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unmapped address")]
+    fn access_after_free_panics() {
+        let mut p = Program::unmonitored(machine(), 1, ExecMode::Sequential);
+        p.serial("main", |ctx| {
+            let a = ctx.alloc("x", 4096, PlacementPolicy::FirstTouch);
+            ctx.load(a, 8);
+            ctx.free(a);
+            ctx.load(a, 8);
+        });
+    }
+
+    #[test]
+    fn parallel_threads_raise_one_trap_per_protected_page() {
+        struct Faults(Mutex<Vec<u64>>);
+        impl Monitor for Faults {
+            fn on_page_fault(&self, fault: &PageFaultEvent, _stack: &[Frame]) -> u64 {
+                self.0.lock().push(fault.addr >> numa_machine::PAGE_SHIFT);
+                0
+            }
+        }
+        const PAGES: u64 = 256;
+        for _ in 0..8 {
+            let rec = Arc::new(Faults(Mutex::new(Vec::new())));
+            let mut p = Program::new(machine(), 8, ExecMode::Parallel, rec.clone());
+            let mut base = 0;
+            p.serial("alloc", |ctx| {
+                base = ctx.alloc("shared", PAGES * 4096, PlacementPolicy::FirstTouch);
+            });
+            let protected = p.machine().page_map().protect_extent(base, PAGES * 4096);
+            assert_eq!(protected, PAGES);
+            // All threads start together and sweep the pages in the same
+            // order, so first touches of each page race.
+            let start = std::sync::Barrier::new(8);
+            p.parallel("race", |tid, ctx| {
+                start.wait();
+                for page in 0..PAGES {
+                    ctx.load(base + page * 4096 + 8 * tid as u64, 8);
+                }
+            });
+            let mut faults = rec.0.lock().clone();
+            faults.sort_unstable();
+            let first = base >> numa_machine::PAGE_SHIFT;
+            assert_eq!(faults, (first..first + PAGES).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::cache::Cache;
 use crate::event::{AllocInfo, MemoryEvent, PageFaultEvent, VarKind};
 use crate::func::{Frame, FrameKind, FuncId};
 use crate::program::SharedEnv;
-use numa_machine::{AccessLevel, CpuId, DomainId};
+use numa_machine::{AccessLevel, CpuId, DomainId, Machine, RegionView};
 
 /// Cycles charged for taking a first-touch trap, before the monitor's own
 /// handler cost (kernel signal delivery + mprotect restore).
@@ -35,6 +35,8 @@ pub struct ThreadState {
     pub(crate) mem_accesses: u64,
     pub(crate) l1: Cache,
     pub(crate) l2: Cache,
+    /// This thread's copy of the page map's region list.
+    pub(crate) regions: RegionView,
     pub(crate) stack: Vec<Frame>,
     /// `exit_frame` calls that found an empty stack (a malformed
     /// replayed program); each is a counted no-op, never a panic.
@@ -58,11 +60,64 @@ impl ThreadState {
             mem_accesses: 0,
             l1: Cache::new(crate::cache::CacheConfig::l1d()),
             l2: Cache::new(crate::cache::CacheConfig::l2()),
+            regions: RegionView::default(),
             stack: Vec::with_capacity(32),
             stack_underflows: 0,
             line: 0,
             region_dram_stalls: Vec::new(),
         }
+    }
+}
+
+/// Every [`AccessLevel`]; the table indexes levels by discriminant.
+const LEVELS: [AccessLevel; 6] = [
+    AccessLevel::L1,
+    AccessLevel::L2,
+    AccessLevel::L3Local,
+    AccessLevel::L3Remote,
+    AccessLevel::MemLocal,
+    AccessLevel::MemRemote,
+];
+
+/// `(latency, stall cycles)` of an access by a thread in one domain,
+/// satisfied at one level by one serving domain — precomputed once per
+/// program from the machine's latency model and hop matrix. It is exact:
+/// contention is charged at the region join, never per access, so every
+/// access is priced with a contention multiplier of 1.0.
+pub(crate) struct LatencyTable {
+    domains: usize,
+    entries: Vec<(u32, u64)>,
+}
+
+impl LatencyTable {
+    pub(crate) fn new(machine: &Machine) -> Self {
+        let domains = machine.topology().domains();
+        let (model, interconnect) = (machine.latency_model(), machine.interconnect());
+        let mut table = LatencyTable {
+            domains,
+            entries: vec![(0, 0); domains * LEVELS.len() * domains],
+        };
+        for local in (0..domains).map(|d| DomainId(d as u8)) {
+            for level in LEVELS {
+                for serving in (0..domains).map(|d| DomainId(d as u8)) {
+                    let hops = interconnect.hops(local, serving);
+                    let latency = model.latency(level, hops, 1.0);
+                    let i = table.index(local, level, serving);
+                    table.entries[i] = (latency, model.stall_cycles(latency));
+                }
+            }
+        }
+        table
+    }
+
+    #[inline]
+    fn index(&self, local: DomainId, level: AccessLevel, serving: DomainId) -> usize {
+        (local.index() * LEVELS.len() + level as usize) * self.domains + serving.index()
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, local: DomainId, level: AccessLevel, serving: DomainId) -> (u32, u64) {
+        self.entries[self.index(local, level, serving)]
     }
 }
 
@@ -246,7 +301,7 @@ impl<'a> ThreadCtx<'a> {
         st.clock += 1; // issue slot
 
         let machine = &self.env.machine;
-        let q = machine.page_map().touch(addr, st.domain);
+        let q = machine.page_map().touch(&mut st.regions, addr, st.domain);
 
         // First-touch trap (simulated SIGSEGV): delivered before the access
         // completes, exactly once per protected page (§6).
@@ -289,10 +344,7 @@ impl<'a> ThreadCtx<'a> {
         // queueing delay under contention is charged to the clock at the
         // region join, where the whole region's per-domain load is known
         // exactly (independent of execution mode).
-        let lat_model = machine.latency_model();
-        let hops = machine.interconnect().hops(st.domain, serving);
-        let latency = lat_model.latency(level, hops, 1.0);
-        let stall = lat_model.stall_cycles(latency);
+        let (latency, stall) = self.env.latencies.get(st.domain, level, serving);
         st.clock += stall;
         if level.is_memory() {
             if st.region_dram_stalls.len() <= home.index() {

@@ -2,7 +2,7 @@
 
 use hpctoolkit_numa::machine::{
     AccessLevel, DomainId, LatencyModel, Machine, MachinePreset, PageMap, PlacementPolicy,
-    PAGE_SIZE,
+    RegionView, PAGE_SIZE,
 };
 use hpctoolkit_numa::profiler::{
     finish_profile, MetricSet, NumaProfiler, ProfilerConfig, VarRecord,
@@ -129,8 +129,9 @@ proptest! {
         let base = 0x100_0000u64;
         map.register_region(base, 64 * PAGE_SIZE, PlacementPolicy::FirstTouch);
         let mut first: std::collections::HashMap<u64, DomainId> = Default::default();
+        let mut view = RegionView::default();
         for (page, toucher) in touches {
-            let q = map.touch(base + page * PAGE_SIZE + 8, DomainId(toucher));
+            let q = map.touch(&mut view, base + page * PAGE_SIZE + 8, DomainId(toucher));
             match first.entry(page) {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     prop_assert!(q.bound_now);
