@@ -75,7 +75,7 @@ impl RangeStat {
 }
 
 /// One thread's address-centric profile.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AddressRanges {
     ranges: HashMap<RangeKey, RangeStat>,
 }

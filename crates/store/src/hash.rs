@@ -6,6 +6,11 @@
 //! so two runs that produced identical measurements hash identically no
 //! matter how the bytes arrived — ingesting the same run twice, or the
 //! same profile pretty-printed, dedups to one stored copy.
+//!
+//! [`ProfileId::of`] never materializes that JSON: the profile streams
+//! its canonical text through `serde::Serializer` into a sink that
+//! folds each byte into the hash and counts them, so identity costs one
+//! allocation-free pass whose floor is FNV-1a's one multiply per byte.
 
 use numa_profiler::NumaProfile;
 use serde::{Deserialize, Serialize};
@@ -17,12 +22,28 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// FNV-1a and length of the JSON text streamed into it.
+struct HashSink {
+    hash: u64,
+    len: usize,
+}
+
+impl serde::Sink for HashSink {
+    fn write(&mut self, text: &str) {
+        self.hash = fnv1a_extend(self.hash, text.as_bytes());
+        self.len += text.len();
+    }
 }
 
 /// Mix one more 64-bit value into a running hash (order-sensitive).
@@ -37,10 +58,17 @@ pub fn mix(h: u64, x: u64) -> u64 {
 pub struct ProfileId(pub u64);
 
 impl ProfileId {
-    /// Hash the canonical serialization of a profile.
-    pub fn of(profile: &NumaProfile) -> (ProfileId, String) {
-        let canonical = profile.to_json();
-        (ProfileId(fnv1a(canonical.as_bytes())), canonical)
+    /// Hash the canonical serialization of a profile, returning the id
+    /// and the canonical JSON's byte length (memory accounting). The
+    /// JSON itself is streamed into the hash, never held.
+    pub fn of(profile: &NumaProfile) -> (ProfileId, usize) {
+        let mut s = serde::Serializer::new(HashSink {
+            hash: FNV_OFFSET,
+            len: 0,
+        });
+        profile.write_json(&mut s);
+        let sink = s.into_inner();
+        (ProfileId(sink.hash), sink.len)
     }
 }
 

@@ -522,11 +522,13 @@ impl Drop for ProfileStore {
 /// buffered bytes while still letting rayon parse a chunk in parallel.
 const INGEST_DIR_CHUNK: usize = 32;
 
-/// One recovered profile record headed for replay — the JSON form
-/// persist v1/v2 wrote, or the binary columnar form v3 writes.
+/// One recovered profile headed for replay — the JSON record form
+/// persist v1/v2 wrote, the binary columnar form v3 writes, or a sealed
+/// streaming session already assembled and checked against its seal.
 enum ReplayRecord {
     Json(wal::WalRecord),
     Bin(wal::BinProfileRecord),
+    Sealed(Arc<StoredProfile>),
 }
 
 impl ProfileStore {
@@ -658,9 +660,9 @@ impl ProfileStore {
         for seal in seals {
             let parts = chunks.remove(&seal.session).unwrap_or_default();
             match Self::assemble_sealed(&seal, parts) {
-                Some(record) => {
+                Some(sp) => {
                     base.sessions_recovered += 1;
-                    records.push(ReplayRecord::Json(record));
+                    records.push(ReplayRecord::Sealed(sp));
                 }
                 None => base.sessions_dropped += 1,
             }
@@ -712,15 +714,17 @@ impl ProfileStore {
         Ok(store)
     }
 
-    /// Reassemble one sealed session recovered from disk. `None` (drop
-    /// the session) when chunks are missing, fail to parse, do not
-    /// assemble, or the assembled canonical JSON does not hash to the
-    /// seal's content hash. Chunks decode from whichever staging format
-    /// (JSON or binary) each was appended in — a session may mix them.
+    /// Reassemble one sealed session recovered from disk into the
+    /// profile replay inserts, with its already-checked id and canonical
+    /// length. `None` (drop the session) when chunks are missing, fail
+    /// to parse, do not assemble, or the assembled canonical JSON does
+    /// not hash to the seal's content hash. Chunks decode from whichever
+    /// staging format (JSON or binary) each was appended in — a session
+    /// may mix them.
     fn assemble_sealed(
         seal: &wal::SealRecord,
         parts: std::collections::BTreeMap<u64, wal::ChunkData>,
-    ) -> Option<wal::WalRecord> {
+    ) -> Option<Arc<StoredProfile>> {
         // Chunks past the sealed count are orphans of appends whose ack
         // reported failure (the record hit disk but its group did not
         // commit); the seal's prefix is what was acknowledged, so only
@@ -737,15 +741,16 @@ impl ProfileStore {
             .map(stream::ChunkPayload::from_chunk_data)
             .collect::<Option<Vec<_>>>()?;
         let profile = stream::assemble(chunks).ok()?;
-        let (id, canonical) = ProfileId::of(&profile);
+        let (id, json_len) = ProfileId::of(&profile);
         if id.0 != seal.content_hash {
             return None; // assembled bytes disagree with the sealed hash
         }
-        Some(wal::WalRecord {
-            label: seal.label.clone(),
-            json: canonical,
-            content_hash: id.0,
-        })
+        Some(Arc::new(StoredProfile::new(
+            id,
+            &seal.label,
+            profile,
+            json_len,
+        )))
     }
 
     /// Rebuild the in-memory set from recovered records: parse and
@@ -757,7 +762,9 @@ impl ProfileStore {
     /// Binary (persist-v3) records skip re-canonicalization: their
     /// content hash was computed at ingest time and the record is
     /// checksum-protected, so the recorded id and JSON footprint are
-    /// trusted as-is — the replay cost is one columnar decode.
+    /// trusted as-is — the replay cost is one columnar decode. Sealed
+    /// sessions arrive already assembled and hashed by
+    /// [`ProfileStore::assemble_sealed`].
     fn replay(&self, records: Vec<ReplayRecord>) -> u64 {
         use rayon::prelude::*;
         if records.is_empty() {
@@ -767,9 +774,10 @@ impl ProfileStore {
             .par_iter()
             .map(|r| match r {
                 ReplayRecord::Json(r) => NumaProfile::from_json(&r.json).ok().map(|profile| {
-                    let (id, canonical) = ProfileId::of(&profile);
-                    Arc::new(StoredProfile::new(id, &r.label, profile, canonical.len()))
+                    let (id, json_len) = ProfileId::of(&profile);
+                    Arc::new(StoredProfile::new(id, &r.label, profile, json_len))
                 }),
+                ReplayRecord::Sealed(sp) => Some(Arc::clone(sp)),
                 ReplayRecord::Bin(r) => {
                     let view = numa_codec::ProfileView::parse(&r.bytes).ok()?;
                     let scalars = ThreadScalars {
@@ -1088,8 +1096,8 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = Arc::new(StoredProfile::new(id, label, profile, canonical.len()));
+        let (id, json_len) = ProfileId::of(&profile);
+        let sp = Arc::new(StoredProfile::new(id, label, profile, json_len));
         // Kept for the rare poisoned-session fallback below, which
         // needs the profile after the insert consumed `sp`.
         let profile = Arc::clone(&sp.profile);
@@ -1124,7 +1132,7 @@ impl ProfileStore {
                 // ordinary record instead of sealing.
                 self.discard_session(session);
                 let bytes = numa_codec::encode_profile(&profile);
-                let row = (label, bytes.as_slice(), id, canonical.len() as u32);
+                let row = (label, bytes.as_slice(), id, json_len as u32);
                 match self.persist_batch(&[row]).pop() {
                     Some(Err(e)) => {
                         self.remove(id);
@@ -1178,8 +1186,8 @@ impl ProfileStore {
         label: &str,
         profile: NumaProfile,
     ) -> Result<(ProfileId, bool), StoreError> {
-        let (id, canonical) = ProfileId::of(&profile);
-        let sp = Arc::new(StoredProfile::new(id, label, profile, canonical.len()));
+        let (id, json_len) = ProfileId::of(&profile);
+        let sp = Arc::new(StoredProfile::new(id, label, profile, json_len));
         // Encoded before the insert consumes `sp`; only durable stores
         // pay for it.
         let bytes = if self.persist.get().is_some() {
@@ -1190,7 +1198,7 @@ impl ProfileStore {
         if !self.insert(sp) {
             return Ok((id, false));
         }
-        let row = (label, bytes.as_slice(), id, canonical.len() as u32);
+        let row = (label, bytes.as_slice(), id, json_len as u32);
         if let Some(Err(e)) = self.persist_batch(&[row]).pop() {
             self.remove(id);
             return Err(e);
@@ -1248,18 +1256,14 @@ impl ProfileStore {
                 });
             }
         };
-        let (id, canonical) = ProfileId::of(&profile);
+        let (id, json_len) = ProfileId::of(&profile);
         let sp = Arc::new(StoredProfile::with_scalars(
-            id,
-            label,
-            profile,
-            canonical.len(),
-            scalars,
+            id, label, profile, json_len, scalars,
         ));
         if !self.insert(sp) {
             return Ok((id, false));
         }
-        let row = (label, bytes, id, canonical.len() as u32);
+        let row = (label, bytes, id, json_len as u32);
         if let Some(Err(e)) = self.persist_batch(&[row]).pop() {
             self.remove(id);
             return Err(e);
@@ -1284,14 +1288,14 @@ impl ProfileStore {
             .par_iter()
             .map(|(label, json)| match NumaProfile::from_json(json) {
                 Ok(profile) => {
-                    let (id, canonical) = ProfileId::of(&profile);
-                    let sp = StoredProfile::new(id, label, profile, canonical.len());
+                    let (id, json_len) = ProfileId::of(&profile);
+                    let sp = StoredProfile::new(id, label, profile, json_len);
                     let bytes = if durable {
                         numa_codec::encode_profile(&sp.profile)
                     } else {
                         Vec::new()
                     };
-                    Ok((Arc::new(sp), canonical.len() as u32, bytes))
+                    Ok((Arc::new(sp), json_len as u32, bytes))
                 }
                 Err(e) => Err((
                     label.clone(),

@@ -8,8 +8,10 @@ use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
 use numa_store::stream::{assemble, split_profile, ChunkPayload};
-use numa_store::wal::{scan_file, wal_path, FILE_HEADER_LEN, WAL_MAGIC};
-use numa_store::{PersistOptions, ProfileStore};
+use numa_store::wal::{
+    encode_seal_record, scan_file, wal_path, WalWriter, FILE_HEADER_LEN, WAL_MAGIC,
+};
+use numa_store::{PersistOptions, ProfileId, ProfileStore};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -220,6 +222,38 @@ fn sealed_sessions_replay_and_unsealed_are_dropped() {
     assert_eq!(p.sessions_recovered, 1);
     assert_eq!(p.sessions_dropped, 1);
     assert_eq!(p.session_chunks_replayed, (a_chunks.len() + 2) as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn seal_whose_hash_disagrees_with_its_chunks_is_dropped() {
+    let dir = scratch("badseal");
+    let a = NumaProfile::from_json(&corpus()[0]).unwrap();
+    let chunks: Vec<String> = split_profile(&a, 2).iter().map(|c| c.to_json()).collect();
+    {
+        let store = open(&dir, PersistOptions::default());
+        for (seq, payload) in chunks.iter().enumerate() {
+            store.stage_chunk(3, seq as u64, payload).unwrap();
+        }
+    }
+    // Every chunk is on disk; the seal claims a different content hash.
+    let path = wal_path(&dir);
+    let len = std::fs::metadata(&path).unwrap().len();
+    let mut w = WalWriter::open_after(&path, len, false).unwrap();
+    let (ProfileId(hash), _) = ProfileId::of(&a);
+    w.write_encoded(&encode_seal_record(
+        3,
+        chunks.len() as u64,
+        hash ^ 1,
+        "forged",
+    ))
+    .unwrap();
+    w.commit().unwrap();
+    drop(w);
+    let store = open(&dir, PersistOptions::default());
+    assert_eq!(store.len(), 0);
+    let p = store.persist_stats();
+    assert_eq!((p.sessions_recovered, p.sessions_dropped), (0, 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
