@@ -38,7 +38,7 @@ fn corpus() -> Vec<NumaProfile> {
 
 fn start_daemon() -> (
     SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
+    std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>>,
 ) {
     let server = Server::bind(
         "127.0.0.1:0",
@@ -105,14 +105,15 @@ fn bench_live(c: &mut Criterion) {
             sealed / wall
         );
     }
-    let stats = client.server_stats().expect("server-stats");
+    let stats = client.server_stats().expect("server-stats").metrics;
+    let series = |key: &str| stats.get(key).expect(key);
     println!(
         "live_ingest/daemon: {} session(s) opened, {} sealed, {} chunk(s) appended, \
          {} backpressure rejection(s)",
-        stats.live_sessions_opened,
-        stats.live_sessions_sealed,
-        stats.live_chunks_appended,
-        stats.live_backpressure
+        series("numa_live_sessions_opened_total"),
+        series("numa_live_sessions_sealed_total"),
+        series("numa_live_chunks_appended_total"),
+        series("numa_live_backpressure_rejections_total")
     );
 
     client.shutdown().expect("shutdown");

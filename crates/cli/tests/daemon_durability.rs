@@ -102,10 +102,10 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
             assert!(added);
         }
         let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 3);
+        assert_eq!(stats.metrics.get("numa_store_durable"), Some(1));
+        assert_eq!(stats.metrics.get("numa_store_profiles"), Some(3));
         assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.wal_appends, 3);
+        assert_eq!(stats.metrics.get("numa_store_wal_appends_total"), Some(3));
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
     }
     daemon.child.kill().expect("SIGKILL");
@@ -129,12 +129,21 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
         let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 3);
+        assert_eq!(stats.metrics.get("numa_store_durable"), Some(1));
+        assert_eq!(stats.metrics.get("numa_store_profiles"), Some(3));
         assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.wal_records_replayed, 3);
-        assert_eq!(stats.snapshot_records_loaded, 0);
-        assert_eq!(stats.wal_truncated_bytes, garbage.len() as u64);
+        assert_eq!(
+            stats.metrics.get("numa_store_wal_records_replayed"),
+            Some(3)
+        );
+        assert_eq!(
+            stats.metrics.get("numa_store_snapshot_records_loaded"),
+            Some(0)
+        );
+        assert_eq!(
+            stats.metrics.get("numa_store_truncated_bytes"),
+            Some(garbage.len() as i128)
+        );
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
         assert_eq!(c.list().expect("list").len(), 3);
         // Clean shutdown this time: drains, flushes, compacts.
@@ -153,10 +162,16 @@ fn sigkilled_daemon_recovers_acknowledged_ingests() {
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
         let stats = c.server_stats().expect("server stats");
-        assert_eq!(stats.store_profiles, 3);
+        assert_eq!(stats.metrics.get("numa_store_profiles"), Some(3));
         assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.snapshot_records_loaded, 3);
-        assert_eq!(stats.wal_records_replayed, 0);
+        assert_eq!(
+            stats.metrics.get("numa_store_snapshot_records_loaded"),
+            Some(3)
+        );
+        assert_eq!(
+            stats.metrics.get("numa_store_wal_records_replayed"),
+            Some(0)
+        );
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
         c.shutdown().expect("shutdown");
     }
@@ -212,10 +227,12 @@ fn sigkill_during_group_commit_keeps_every_acknowledged_ingest() {
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
         let stats = c.server_stats().expect("server stats");
-        assert_eq!(stats.store_profiles, CLIENTS, "{stats:?}");
+        let series = |key: &str| stats.metrics.get(key).expect(key);
+        assert_eq!(series("numa_store_profiles"), CLIENTS as i128, "{stats:?}");
         assert_eq!(
-            stats.snapshot_records_loaded + stats.wal_records_replayed,
-            CLIENTS as u64,
+            series("numa_store_snapshot_records_loaded")
+                + series("numa_store_wal_records_replayed"),
+            CLIENTS as i128,
             "{stats:?}"
         );
         for (id, label) in &acked {

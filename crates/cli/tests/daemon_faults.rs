@@ -119,8 +119,8 @@ fn enospc_daemon_fails_ingest_typed_and_serves_reads_until_restart() {
             .expect("aggregate")
             .contains("cross-run aggregate: 1 run(s)"));
         let stats = c.server_stats().expect("stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 1);
+        assert_eq!(stats.metrics.get("numa_store_durable"), Some(1));
+        assert_eq!(stats.metrics.get("numa_store_profiles"), Some(1));
     }
     // Operator gives up on the sick disk: SIGKILL, restart clean.
     daemon.child.kill().expect("kill daemon");

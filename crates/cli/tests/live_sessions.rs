@@ -120,10 +120,13 @@ fn sigkilled_streaming_client_is_reaped_without_partial_state() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = c.server_stats().expect("server stats");
-        if stats.live_leases_reaped >= 1 {
-            assert_eq!(stats.live_sessions, 0, "{stats:?}");
-            assert_eq!(stats.live_open_bytes, 0, "{stats:?}");
-            assert!(stats.render().contains("1 lease(s) reaped"));
+        let series = |key: &str| stats.metrics.get(key).expect(key);
+        if series("numa_live_sessions_reaped_total") >= 1 {
+            assert_eq!(series("numa_live_open_sessions"), 0, "{stats:?}");
+            assert_eq!(series("numa_live_open_bytes"), 0, "{stats:?}");
+            assert!(stats
+                .render()
+                .contains("\nnuma_live_sessions_reaped_total 1\n"));
             break;
         }
         assert!(Instant::now() < deadline, "lease never reaped: {stats:?}");
@@ -189,13 +192,23 @@ fn sigkilled_daemon_recovers_sealed_streams_and_drops_unsealed() {
     {
         let mut c = Client::connect(&daemon.addr as &str).expect("reconnect");
         let stats = c.server_stats().expect("server stats");
-        assert!(stats.durable);
-        assert_eq!(stats.store_profiles, 1, "{stats:?}");
+        let series = |key: &str| stats.metrics.get(key).expect(key);
+        assert_eq!(series("numa_store_durable"), 1);
+        assert_eq!(series("numa_store_profiles"), 1, "{stats:?}");
         assert_eq!(stats.store_set_hash, oracle_hash);
-        assert_eq!(stats.sessions_recovered, 1, "{stats:?}");
-        assert_eq!(stats.sessions_dropped, 1, "{stats:?}");
-        assert!(stats.session_chunks_replayed >= 3, "{stats:?}");
-        assert!(stats.render().contains("sessions: 1 recovered, 1 dropped"));
+        assert_eq!(
+            series("numa_store_sessions_recovered_total"),
+            1,
+            "{stats:?}"
+        );
+        assert_eq!(series("numa_store_sessions_dropped_total"), 1, "{stats:?}");
+        assert!(
+            series("numa_store_session_chunks_replayed") >= 3,
+            "{stats:?}"
+        );
+        let rendered = stats.render();
+        assert!(rendered.contains("\nnuma_store_sessions_recovered_total 1\n"));
+        assert!(rendered.contains("\nnuma_store_sessions_dropped_total 1\n"));
         assert_eq!(c.aggregate().expect("aggregate"), oracle_aggregate);
 
         // The streamed profile is byte-identical to one-shot ingest:

@@ -29,7 +29,7 @@
 //! mid-stream, WAL replay recovers exactly the sealed sessions and
 //! drops unsealed ones (see `numa_store::wal`).
 
-use numa_obs::{Counter, Gauge, Registry};
+use numa_obs::{Counter, Registry};
 use numa_store::stream::{assemble, ChunkPayload};
 use numa_store::{ProfileId, ProfileStore};
 use parking_lot::Mutex;
@@ -216,24 +216,6 @@ pub struct Sealed {
     pub chunks: u64,
 }
 
-/// Live-ingestion counters for observability (`server-stats`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Sessions open right now.
-    pub open_sessions: usize,
-    /// Bytes buffered across open sessions right now.
-    pub open_bytes: usize,
-    pub opened: u64,
-    pub sealed: u64,
-    pub aborted: u64,
-    /// Expired leases the janitor reclaimed.
-    pub reaped: u64,
-    pub chunks_appended: u64,
-    /// Appends/opens rejected for capacity (see
-    /// [`SessionError::is_backpressure`]).
-    pub backpressure_rejections: u64,
-}
-
 struct LiveSession {
     label: String,
     chunks: Vec<ChunkPayload>,
@@ -267,11 +249,6 @@ pub struct SessionManager {
     reaped: Counter,
     chunks_appended: Counter,
     backpressure: Counter,
-    /// Mirrors of `Inner::{sessions.len(), open_bytes}`, updated inside
-    /// the same lock critical sections that mutate them — a scrape sees
-    /// gauges that exactly match the admission bookkeeping.
-    open_sessions_gauge: Gauge,
-    open_bytes_gauge: Gauge,
     stop_tx: Mutex<Option<mpsc::Sender<()>>>,
     janitor: Mutex<Option<JoinHandle<()>>>,
 }
@@ -299,8 +276,6 @@ impl SessionManager {
             reaped: Counter::new(),
             chunks_appended: Counter::new(),
             backpressure: Counter::new(),
-            open_sessions_gauge: Gauge::new(),
-            open_bytes_gauge: Gauge::new(),
             stop_tx: Mutex::new(Some(stop_tx)),
             janitor: Mutex::new(None),
         });
@@ -339,7 +314,6 @@ impl SessionManager {
                     deadline,
                 },
             );
-            self.open_sessions_gauge.inc();
         }
         self.opened.inc();
         Ok(SessionTicket {
@@ -454,7 +428,6 @@ impl SessionManager {
             s.next_seq += 1;
             s.deadline = Instant::now() + self.config.lease;
             inner.open_bytes += len;
-            self.open_bytes_gauge.add(len as i64);
             inner.open_bytes
         };
         // Durable staging blocks on the group commit, so an acked chunk
@@ -470,7 +443,6 @@ impl SessionManager {
                     s.bytes -= len;
                     s.next_seq = seq;
                     inner.open_bytes -= len;
-                    self.open_bytes_gauge.sub(len as i64);
                 }
             }
             return Err(SessionError::NotDurable {
@@ -501,8 +473,6 @@ impl SessionManager {
                 .remove(&session)
                 .ok_or(SessionError::UnknownSession { session })?;
             inner.open_bytes -= s.bytes;
-            self.open_sessions_gauge.dec();
-            self.open_bytes_gauge.sub(s.bytes as i64);
             s
         };
         let chunks = s.next_seq;
@@ -544,8 +514,6 @@ impl SessionManager {
                 .remove(&session)
                 .ok_or(SessionError::UnknownSession { session })?;
             inner.open_bytes -= s.bytes;
-            self.open_sessions_gauge.dec();
-            self.open_bytes_gauge.sub(s.bytes as i64);
         }
         self.store.discard_session(session);
         self.aborted.inc();
@@ -567,8 +535,6 @@ impl SessionManager {
             for id in &ids {
                 if let Some(s) = inner.sessions.remove(id) {
                     inner.open_bytes -= s.bytes;
-                    self.open_sessions_gauge.dec();
-                    self.open_bytes_gauge.sub(s.bytes as i64);
                 }
             }
             ids
@@ -580,29 +546,12 @@ impl SessionManager {
         dead.len()
     }
 
-    /// Counter snapshot for observability.
-    pub fn stats(&self) -> LiveStats {
-        let (open_sessions, open_bytes) = {
-            let inner = self.inner.lock();
-            (inner.sessions.len(), inner.open_bytes)
-        };
-        LiveStats {
-            open_sessions,
-            open_bytes,
-            opened: self.opened.get(),
-            sealed: self.sealed.get(),
-            aborted: self.aborted.get(),
-            reaped: self.reaped.get(),
-            chunks_appended: self.chunks_appended.get(),
-            backpressure_rejections: self.backpressure.get(),
-        }
-    }
-
     /// Adopt every live-ingestion counter and gauge into `registry`
-    /// under the `numa_live_` prefix. The gauges are the same handles
-    /// the session paths update under the manager's lock, so a scrape
-    /// always sees values consistent with admission decisions.
-    pub fn register_metrics(&self, registry: &Registry) {
+    /// under the `numa_live_` prefix. The gauges read the admission
+    /// state itself under the manager's lock, so a scrape sees exactly
+    /// what admission decides on. Like the janitor, they hold only a
+    /// weak reference (a dropped manager reads as zero).
+    pub fn register_metrics(self: &Arc<Self>, registry: &Registry) {
         registry.counter(
             "numa_live_sessions_opened_total",
             "Streaming sessions opened.",
@@ -639,17 +588,25 @@ impl SessionManager {
             &[],
             self.backpressure.clone(),
         );
-        registry.gauge(
+        let mgr = Arc::downgrade(self);
+        registry.gauge_fn(
             "numa_live_open_sessions",
             "Sessions open right now.",
             &[],
-            self.open_sessions_gauge.clone(),
+            move || {
+                mgr.upgrade()
+                    .map_or(0, |m| m.inner.lock().sessions.len() as i64)
+            },
         );
-        registry.gauge(
+        let mgr = Arc::downgrade(self);
+        registry.gauge_fn(
             "numa_live_open_bytes",
             "Bytes buffered across open sessions right now.",
             &[],
-            self.open_bytes_gauge.clone(),
+            move || {
+                mgr.upgrade()
+                    .map_or(0, |m| m.inner.lock().open_bytes as i64)
+            },
         );
     }
 
@@ -732,7 +689,7 @@ mod tests {
         let err = mgr.open("c").unwrap_err();
         assert_eq!(err, SessionError::TooManySessions { open: 2, max: 2 });
         assert!(err.is_backpressure());
-        assert_eq!(mgr.stats().backpressure_rejections, 1);
+        assert_eq!(mgr.backpressure.get(), 1);
         mgr.stop();
     }
 

@@ -4,6 +4,7 @@
 
 use numa_live::{LiveConfig, SessionError, SessionManager};
 use numa_machine::{Machine, MachinePreset, PlacementPolicy};
+use numa_obs::{Registry, Snapshot};
 use numa_profiler::{finish_profile, NumaProfile, NumaProfiler, ProfilerConfig};
 use numa_sampling::{MechanismConfig, MechanismKind};
 use numa_sim::{ExecMode, Program};
@@ -40,6 +41,20 @@ fn corpus() -> &'static [String; 2] {
     CORPUS.get_or_init(|| [profile(1).to_json(), profile(2).to_json()])
 }
 
+/// `mgr`'s series read the way the daemon reads them: registered in a
+/// registry, then one snapshot.
+fn stats(mgr: &Arc<SessionManager>) -> Snapshot {
+    let registry = Registry::new();
+    mgr.register_metrics(&registry);
+    registry.snapshot()
+}
+
+fn series(stats: &Snapshot, key: &str) -> i128 {
+    stats
+        .get(key)
+        .unwrap_or_else(|| panic!("series {key:?} missing"))
+}
+
 /// Streams `json` through `mgr` in chunks of `per` threads and returns
 /// the seal result.
 fn stream(mgr: &SessionManager, label: &str, json: &str, per: usize) -> numa_live::Sealed {
@@ -70,12 +85,12 @@ fn streamed_session_matches_oneshot_ingest() {
         "aggregate text differs"
     );
 
-    let stats = mgr.stats();
-    assert_eq!(stats.opened, 1);
-    assert_eq!(stats.sealed, 1);
-    assert_eq!(stats.open_sessions, 0);
-    assert_eq!(stats.open_bytes, 0);
-    assert!(stats.chunks_appended >= 2);
+    let stats = stats(&mgr);
+    assert_eq!(series(&stats, "numa_live_sessions_opened_total"), 1);
+    assert_eq!(series(&stats, "numa_live_sessions_sealed_total"), 1);
+    assert_eq!(series(&stats, "numa_live_open_sessions"), 0);
+    assert_eq!(series(&stats, "numa_live_open_bytes"), 0);
+    assert!(series(&stats, "numa_live_chunks_appended_total") >= 2);
     mgr.stop();
 }
 
@@ -170,7 +185,10 @@ fn violations_are_typed() {
         }
     );
     assert!(err.is_backpressure());
-    assert_eq!(mgr.stats().backpressure_rejections, 2);
+    assert_eq!(
+        series(&stats(&mgr), "numa_live_backpressure_rejections_total"),
+        2
+    );
 
     // A seal over a header-less chunk set is typed and discards the
     // session.
@@ -193,10 +211,10 @@ fn abort_discards_the_session() {
         mgr.abort(t.session).unwrap_err(),
         SessionError::UnknownSession { session: t.session }
     );
-    let stats = mgr.stats();
-    assert_eq!(stats.aborted, 1);
-    assert_eq!(stats.open_sessions, 0);
-    assert_eq!(stats.open_bytes, 0);
+    let stats = stats(&mgr);
+    assert_eq!(series(&stats, "numa_live_sessions_aborted_total"), 1);
+    assert_eq!(series(&stats, "numa_live_open_sessions"), 0);
+    assert_eq!(series(&stats, "numa_live_open_bytes"), 0);
     assert_eq!(store.len(), 0);
     mgr.stop();
 }
@@ -217,14 +235,20 @@ fn expired_leases_are_reaped_by_the_janitor() {
 
     // Wait (generously) for the lease to lapse and the janitor to run.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while mgr.stats().reaped == 0 && std::time::Instant::now() < deadline {
+    while series(&stats(&mgr), "numa_live_sessions_reaped_total") == 0
+        && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let stats = mgr.stats();
-    assert_eq!(stats.reaped, 1, "janitor never reaped the idle session");
-    assert_eq!(stats.open_sessions, 0);
-    assert_eq!(stats.open_bytes, 0);
+    let stats = stats(&mgr);
+    assert_eq!(
+        series(&stats, "numa_live_sessions_reaped_total"),
+        1,
+        "janitor never reaped the idle session"
+    );
+    assert_eq!(series(&stats, "numa_live_open_sessions"), 0);
+    assert_eq!(series(&stats, "numa_live_open_bytes"), 0);
     assert_eq!(
         mgr.append(t.session, 1, r#"{"Threads":[]}"#).unwrap_err(),
         SessionError::UnknownSession { session: t.session }
@@ -257,6 +281,6 @@ fn appends_renew_the_lease() {
     }
     let sealed = mgr.seal(t.session).unwrap();
     assert!(sealed.added);
-    assert_eq!(mgr.stats().reaped, 0);
+    assert_eq!(series(&stats(&mgr), "numa_live_sessions_reaped_total"), 0);
     mgr.stop();
 }

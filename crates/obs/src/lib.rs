@@ -9,10 +9,12 @@
 //!   happens; exposition holds a clone of the same handle, so there is
 //!   exactly one storage location per number (no parallel bookkeeping
 //!   to drift out of sync).
-//! - [`Registry`] — names, help text, and labels for a set of handles,
-//!   rendered as Prometheus text exposition (`GET /metrics`). Derived
-//!   values (anything already guarded by a component's own lock) join
-//!   via closure collectors instead of duplicating state.
+//! - [`Registry`] — names, help text, and labels for a set of handles.
+//!   Derived values (anything already guarded by a component's own
+//!   lock) join via closure collectors instead of duplicating state.
+//!   [`Registry::snapshot`] is the one read path: it reads every series
+//!   once into a [`Snapshot`], which answers lookups by series key and
+//!   renders the Prometheus text exposition (`GET /metrics`).
 //! - [`trace`] — per-request structured spans: a bounded ring buffer
 //!   of (op, bytes, shard, cache hit/miss, WAL-ack latency, total
 //!   latency) plus a thread-local side channel that lets lower layers
@@ -34,5 +36,5 @@ pub mod trace;
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
 };
-pub use registry::Registry;
+pub use registry::{Registry, Snapshot};
 pub use trace::{Span, SpanRing};

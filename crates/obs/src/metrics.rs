@@ -1,6 +1,7 @@
 //! Handle types: lock-free counters, gauges, and a fixed-bucket
 //! power-of-two histogram with consistent snapshots.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,7 +147,7 @@ impl Histogram {
 
 /// A point-in-time copy of a [`Histogram`]. Every statistic on this
 /// type reads the same frozen bucket array.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     pub buckets: [u64; BUCKETS],
     /// Sum of `buckets` (saturating), frozen at snapshot time.

@@ -3,8 +3,7 @@
 
 use crate::protocol::{
     caps, decode_response, encode_request, read_frame, write_frame_flags, ProfileEntry, RecvError,
-    ReportFormat, Request, Response, ServerStatsReport, WireError, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    ReportFormat, Request, Response, ServerStats, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use numa_profiler::NumaProfile;
 use numa_store::stream::split_profile;
@@ -320,9 +319,9 @@ impl Client {
         self.text(&Request::StoreStats)
     }
 
-    pub fn server_stats(&mut self) -> Result<ServerStatsReport, ClientError> {
+    pub fn server_stats(&mut self) -> Result<ServerStats, ClientError> {
         match self.call(&Request::ServerStats)? {
-            Response::ServerStats(s) => Ok(*s),
+            Response::ServerStats(s) => Ok(s),
             other => Err(unexpected("ServerStats", &other)),
         }
     }

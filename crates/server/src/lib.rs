@@ -26,7 +26,9 @@
 //! round trips, and a daemon that predates streaming answers them with
 //! a typed [`protocol::WireError::Unsupported`] instead of hanging up.
 //! * [`metrics`] — per-op request/error counters and a fixed-bucket
-//!   latency histogram, surfaced remotely via the `server-stats` op.
+//!   latency histogram, adopted into the daemon's metric registry; the
+//!   `metrics` op renders it and `server-stats` ships one snapshot of
+//!   it.
 //!
 //! The CLI front ends (`hpcd-sim`, `hpcd-client`) live in the
 //! `numa-tools` crate next to the other `hpc*-sim` binaries.
@@ -41,6 +43,6 @@ pub use client::{Client, ClientError, SessionInfo};
 pub use numa_live::LiveConfig;
 pub use protocol::{
     caps, FrameDecoder, FrameError, ProfileEntry, RecvError, ReportFormat, Request, Response,
-    ServerStatsReport, SlowOpRow, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    ServerStats, SlowOpRow, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};

@@ -2,22 +2,48 @@
 //! fixed-bucket latency histogram, all homed on `numa-obs` handles.
 //!
 //! The hot path (one request) touches exactly three relaxed atomics:
-//! op requests, the histogram bucket, and optionally op errors. The
-//! same handles feed both `server-stats` (via [`Metrics::latency_summary`]
-//! and [`Metrics::per_op`]) and the Prometheus scrape (via
-//! [`Metrics::register`]) — one storage location per number.
+//! op requests, the histogram bucket, and optionally op errors. Every
+//! reader (the Prometheus scrape and `server-stats`) goes through the
+//! registry the handles are adopted into by [`Metrics::register`] —
+//! one storage location per number, one read path.
 
-use crate::protocol::{LatencySummary, OpStat, Request};
 use numa_obs::{Counter, Histogram, Registry};
 
 /// Every op the daemon serves, densely numbered for counter arrays.
-/// Slot [`OpSlot::COUNT`]`-1` ("unknown") absorbs malformed requests
+/// [`crate::Request::op_slot`] maps each request to its slot with one
+/// exhaustive `match`; [`OpSlot::Unknown`] absorbs malformed requests
 /// that never decoded to an op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpSlot(usize);
+pub enum OpSlot {
+    Ping,
+    Ingest,
+    IngestBinary,
+    List,
+    Resolve,
+    Aggregate,
+    Top,
+    Report,
+    CodeView,
+    AddressView,
+    Diff,
+    StoreStats,
+    ServerStats,
+    Metrics,
+    ClearCache,
+    Shutdown,
+    OpenSession,
+    AppendChunk,
+    AppendChunkBinary,
+    SealSession,
+    AbortSession,
+    Unknown,
+}
 
 impl OpSlot {
-    pub const NAMES: [&'static str; 22] = [
+    pub const COUNT: usize = OpSlot::Unknown as usize + 1;
+    /// Stable op names, indexed by slot: the `op` label of every per-op
+    /// series and [`crate::Request::op_name`].
+    pub const NAMES: [&'static str; OpSlot::COUNT] = [
         "ping",
         "ingest",
         "ingest-binary",
@@ -41,21 +67,9 @@ impl OpSlot {
         "abort-session",
         "unknown",
     ];
-    pub const COUNT: usize = Self::NAMES.len();
-    pub const UNKNOWN: OpSlot = OpSlot(Self::COUNT - 1);
 
-    pub fn of(req: &Request) -> OpSlot {
-        let name = req.op_name();
-        OpSlot(
-            Self::NAMES
-                .iter()
-                .position(|n| *n == name)
-                .unwrap_or(Self::COUNT - 1),
-        )
-    }
-
-    pub fn name(&self) -> &'static str {
-        Self::NAMES[self.0]
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
     }
 }
 
@@ -64,7 +78,7 @@ impl OpSlot {
 pub struct Metrics {
     requests: [Counter; OpSlot::COUNT],
     errors: [Counter; OpSlot::COUNT],
-    pub latency: Histogram,
+    latency: Histogram,
     connections_accepted: Counter,
     connections_closed: Counter,
     rejected_oversized: Counter,
@@ -78,9 +92,9 @@ impl Metrics {
     }
 
     pub fn record_request(&self, op: OpSlot, elapsed: std::time::Duration, is_error: bool) {
-        self.requests[op.0].inc();
+        self.requests[op as usize].inc();
         if is_error {
-            self.errors[op.0].inc();
+            self.errors[op as usize].inc();
         }
         self.latency.record_duration(elapsed);
     }
@@ -103,65 +117,6 @@ impl Metrics {
 
     pub fn timeout(&self) {
         self.timeouts.inc();
-    }
-
-    pub fn requests_total(&self) -> u64 {
-        self.requests.iter().map(Counter::get).sum()
-    }
-
-    pub fn errors_total(&self) -> u64 {
-        self.errors.iter().map(Counter::get).sum()
-    }
-
-    pub fn connections_accepted_total(&self) -> u64 {
-        self.connections_accepted.get()
-    }
-
-    pub fn connections_closed_total(&self) -> u64 {
-        self.connections_closed.get()
-    }
-
-    pub fn rejected_oversized_total(&self) -> u64 {
-        self.rejected_oversized.get()
-    }
-
-    pub fn malformed_total(&self) -> u64 {
-        self.malformed_frames.get()
-    }
-
-    pub fn timeouts_total(&self) -> u64 {
-        self.timeouts.get()
-    }
-
-    /// One consistent latency summary: every percentile line comes
-    /// from the same bucket snapshot, so p50 ≤ p95 ≤ p99 holds even
-    /// while workers are recording.
-    pub fn latency_summary(&self) -> LatencySummary {
-        let s = self.latency.snapshot();
-        LatencySummary {
-            count: s.count,
-            p50_us: s.percentile(0.50),
-            p95_us: s.percentile(0.95),
-            p99_us: s.percentile(0.99),
-            max_us: s.max,
-        }
-    }
-
-    /// Per-op rows for ops that saw at least one request.
-    pub fn per_op(&self) -> Vec<OpStat> {
-        (0..OpSlot::COUNT)
-            .filter_map(|i| {
-                let requests = self.requests[i].get();
-                if requests == 0 {
-                    return None;
-                }
-                Some(OpStat {
-                    op: OpSlot::NAMES[i].to_string(),
-                    requests,
-                    errors: self.errors[i].get(),
-                })
-            })
-            .collect()
     }
 
     /// Adopt every counter into `registry` under the `numa_server_`
@@ -222,7 +177,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_obs::Histogram;
+    use crate::protocol::Request;
     use std::time::Duration;
 
     #[test]
@@ -244,27 +199,93 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_is_zero() {
-        let s = Metrics::new().latency_summary();
-        assert_eq!((s.count, s.p50_us, s.p99_us, s.max_us), (0, 0, 0, 0));
-    }
-
-    #[test]
     fn op_slots_cover_every_request() {
-        use crate::protocol::Request;
+        use crate::protocol::ReportFormat;
+        let s = String::new;
+        // One row per `Request` variant, with the name every per-op
+        // series (and the benchmark's scrape) is keyed by.
         let reqs = [
-            Request::Ping,
-            Request::List,
-            Request::Aggregate,
-            Request::StoreStats,
-            Request::ServerStats,
-            Request::Metrics,
-            Request::ClearCache,
-            Request::Shutdown,
+            (Request::Ping, "ping"),
+            (
+                Request::Ingest {
+                    label: s(),
+                    json: s(),
+                },
+                "ingest",
+            ),
+            (Request::List, "list"),
+            (Request::Resolve { reference: s() }, "resolve"),
+            (Request::Aggregate, "aggregate"),
+            (Request::Top { n: 1 }, "top"),
+            (
+                Request::Report {
+                    profile: s(),
+                    format: ReportFormat::Text,
+                },
+                "report",
+            ),
+            (
+                Request::CodeView {
+                    profile: s(),
+                    min_share_permille: 0,
+                },
+                "code-view",
+            ),
+            (
+                Request::AddressView {
+                    profile: s(),
+                    var: s(),
+                },
+                "address-view",
+            ),
+            (
+                Request::Diff {
+                    before: s(),
+                    after: s(),
+                },
+                "diff",
+            ),
+            (Request::StoreStats, "store-stats"),
+            (Request::ServerStats, "server-stats"),
+            (Request::Metrics, "metrics"),
+            (Request::ClearCache, "clear-cache"),
+            (Request::Shutdown, "shutdown"),
+            (Request::OpenSession { label: s() }, "open-session"),
+            (
+                Request::AppendChunk {
+                    session: 0,
+                    seq: 0,
+                    chunk: s(),
+                },
+                "append-chunk",
+            ),
+            (Request::SealSession { session: 0 }, "seal-session"),
+            (Request::AbortSession { session: 0 }, "abort-session"),
+            (
+                Request::IngestBinary {
+                    label: s(),
+                    bytes: Vec::new(),
+                },
+                "ingest-binary",
+            ),
+            (
+                Request::AppendChunkBinary {
+                    session: 0,
+                    seq: 0,
+                    bytes: Vec::new(),
+                },
+                "append-chunk-binary",
+            ),
         ];
-        for r in &reqs {
-            assert_ne!(OpSlot::of(r), OpSlot::UNKNOWN, "{:?}", r.op_name());
+        let mut slots: Vec<usize> = Vec::new();
+        for (r, name) in &reqs {
+            assert_eq!(r.op_name(), *name);
+            assert_ne!(r.op_slot(), OpSlot::Unknown, "{name}");
+            slots.push(r.op_slot() as usize);
         }
+        // Every slot but `unknown` is some request's, exactly once.
+        slots.sort_unstable();
+        assert_eq!(slots, (0..OpSlot::COUNT - 1).collect::<Vec<_>>());
     }
 
     #[test]
@@ -272,8 +293,8 @@ mod tests {
         let m = Metrics::new();
         let registry = Registry::new();
         m.register(&registry);
-        m.record_request(OpSlot::of(&Request::Ping), Duration::from_micros(5), false);
-        m.record_request(OpSlot::of(&Request::Ping), Duration::from_micros(7), true);
+        m.record_request(Request::Ping.op_slot(), Duration::from_micros(5), false);
+        m.record_request(Request::Ping.op_slot(), Duration::from_micros(7), true);
         let text = registry.render();
         assert!(
             text.contains("numa_server_requests_total{op=\"ping\"} 2\n"),

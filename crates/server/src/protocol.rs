@@ -32,8 +32,10 @@
 //! Every daemon response frame advertises the full [`caps::SUPPORTED`]
 //! set, so one `ping` round trip tells a client what the server can do.
 
+use crate::metrics::OpSlot;
+use numa_obs::Snapshot;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 /// Current protocol revision.
@@ -405,7 +407,8 @@ pub enum Request {
     Diff { before: String, after: String },
     /// Store accounting (profile count, dedup, cache counters).
     StoreStats,
-    /// Daemon observability: per-op counters + latency percentiles.
+    /// Daemon observability: one metric-registry snapshot plus the
+    /// store's set hash and the retained slow ops ([`ServerStats`]).
     ServerStats,
     /// Prometheus text exposition of every registered metric (requires
     /// [`caps::METRICS`]); the same text `GET /metrics` serves.
@@ -445,31 +448,36 @@ pub enum Request {
 }
 
 impl Request {
+    /// The request's per-op metrics slot.
+    pub fn op_slot(&self) -> OpSlot {
+        match self {
+            Request::Ping => OpSlot::Ping,
+            Request::Ingest { .. } => OpSlot::Ingest,
+            Request::List => OpSlot::List,
+            Request::Resolve { .. } => OpSlot::Resolve,
+            Request::Aggregate => OpSlot::Aggregate,
+            Request::Top { .. } => OpSlot::Top,
+            Request::Report { .. } => OpSlot::Report,
+            Request::CodeView { .. } => OpSlot::CodeView,
+            Request::AddressView { .. } => OpSlot::AddressView,
+            Request::Diff { .. } => OpSlot::Diff,
+            Request::StoreStats => OpSlot::StoreStats,
+            Request::ServerStats => OpSlot::ServerStats,
+            Request::Metrics => OpSlot::Metrics,
+            Request::ClearCache => OpSlot::ClearCache,
+            Request::Shutdown => OpSlot::Shutdown,
+            Request::OpenSession { .. } => OpSlot::OpenSession,
+            Request::AppendChunk { .. } => OpSlot::AppendChunk,
+            Request::SealSession { .. } => OpSlot::SealSession,
+            Request::AbortSession { .. } => OpSlot::AbortSession,
+            Request::IngestBinary { .. } => OpSlot::IngestBinary,
+            Request::AppendChunkBinary { .. } => OpSlot::AppendChunkBinary,
+        }
+    }
+
     /// Stable op name, used for per-op metrics and display.
     pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Ingest { .. } => "ingest",
-            Request::List => "list",
-            Request::Resolve { .. } => "resolve",
-            Request::Aggregate => "aggregate",
-            Request::Top { .. } => "top",
-            Request::Report { .. } => "report",
-            Request::CodeView { .. } => "code-view",
-            Request::AddressView { .. } => "address-view",
-            Request::Diff { .. } => "diff",
-            Request::StoreStats => "store-stats",
-            Request::ServerStats => "server-stats",
-            Request::Metrics => "metrics",
-            Request::ClearCache => "clear-cache",
-            Request::Shutdown => "shutdown",
-            Request::OpenSession { .. } => "open-session",
-            Request::AppendChunk { .. } => "append-chunk",
-            Request::SealSession { .. } => "seal-session",
-            Request::AbortSession { .. } => "abort-session",
-            Request::IngestBinary { .. } => "ingest-binary",
-            Request::AppendChunkBinary { .. } => "append-chunk-binary",
-        }
+        self.op_slot().name()
     }
 
     /// The capability bits this request relies on; the client stamps
@@ -503,36 +511,6 @@ pub struct ProfileEntry {
     pub json_bytes: usize,
 }
 
-/// Per-op counter row in a `ServerStats` response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OpStat {
-    pub op: String,
-    pub requests: u64,
-    pub errors: u64,
-}
-
-/// Latency summary from the daemon's fixed-bucket histogram.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    pub count: u64,
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
-}
-
-/// One store shard's accounting row in a `ServerStats` response.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardStatRow {
-    pub shard: usize,
-    pub profiles: usize,
-    pub ingests: u64,
-    /// Shelf read-lock acquisitions that had to block.
-    pub read_contended: u64,
-    /// Shelf write-lock acquisitions that had to block.
-    pub write_contended: u64,
-}
-
 /// One retained slow-op span in a `ServerStats` response: a request
 /// whose total service time crossed the daemon's `--slow-op-ms`
 /// threshold, with the structured facts its trace collected.
@@ -556,194 +534,71 @@ pub struct SlowOpRow {
     pub error: bool,
 }
 
-/// The `server-stats` payload: request observability plus the store's
-/// cache counters, one round trip.
+/// The `server-stats` payload: one snapshot of the daemon's metric
+/// registry (every number the `metrics` scrape serves, read once),
+/// plus the two things that are not metrics.
+///
+/// This shape replaced a flat struct of copied counters without a
+/// protocol version bump: the op, its name and [`PROTOCOL_VERSION`]
+/// are unchanged, only this reply's JSON differs. A client built
+/// against the old shape fails to decode this one reply; every other
+/// op is unaffected.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ServerStatsReport {
-    pub uptime_ms: u64,
-    pub connections_accepted: u64,
-    pub connections_closed: u64,
-    pub requests_total: u64,
-    pub errors_total: u64,
-    pub rejected_oversized: u64,
-    pub malformed_frames: u64,
-    pub timeouts: u64,
-    pub per_op: Vec<OpStat>,
-    pub latency: LatencySummary,
-    pub store_profiles: usize,
+pub struct ServerStats {
+    pub metrics: Snapshot,
     /// Hex content hash of the stored set — two daemons (or a daemon
     /// before and after a crash-restart) holding the same corpus report
     /// the same value.
     pub store_set_hash: String,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_insertions: u64,
-    pub cache_evictions: u64,
-    /// Whether the store is backed by a `--data-dir`.
-    pub durable: bool,
-    /// Startup recovery: records loaded from the snapshot.
-    pub snapshot_records_loaded: u64,
-    /// Startup recovery: records replayed from the WAL.
-    pub wal_records_replayed: u64,
-    /// Startup recovery: torn/corrupt tail bytes dropped (WAL +
-    /// snapshot).
-    pub wal_truncated_bytes: u64,
-    /// Records appended to the WAL since startup.
-    pub wal_appends: u64,
-    /// Group commits since startup: WAL flushes that made a batch of
-    /// appends durable. `wal_appends / wal_group_commits` is the
-    /// achieved batching factor. Defaults to zero when talking to a
-    /// daemon predating group commit.
-    #[serde(default)]
-    pub wal_group_commits: u64,
-    /// Snapshot compactions since startup.
-    pub snapshots_written: u64,
-    /// Persistence I/O failures since startup (serving continued from
-    /// memory).
-    pub persist_io_errors: u64,
-    /// Per-shard store accounting (empty when talking to a daemon
-    /// predating the sharded store).
-    #[serde(default)]
-    pub store_shards: Vec<ShardStatRow>,
-    /// Streaming sessions open right now.
-    #[serde(default)]
-    pub live_sessions: u64,
-    /// Bytes buffered across all open streaming sessions.
-    #[serde(default)]
-    pub live_open_bytes: u64,
-    /// Sessions opened since startup.
-    #[serde(default)]
-    pub live_sessions_opened: u64,
-    /// Sessions sealed (committed) since startup.
-    #[serde(default)]
-    pub live_sessions_sealed: u64,
-    /// Sessions aborted (client abort or failed seal) since startup.
-    #[serde(default)]
-    pub live_sessions_aborted: u64,
-    /// Expired leases reclaimed by the janitor since startup.
-    #[serde(default)]
-    pub live_leases_reaped: u64,
-    /// Chunks accepted since startup.
-    #[serde(default)]
-    pub live_chunks_appended: u64,
-    /// Capacity-induced rejections (too many sessions, buffer budgets)
-    /// since startup.
-    #[serde(default)]
-    pub live_backpressure: u64,
-    /// Startup recovery: sealed sessions reassembled from WAL chunk
-    /// records.
-    #[serde(default)]
-    pub sessions_recovered: u64,
-    /// Startup recovery: unsealed or unassemblable sessions dropped.
-    #[serde(default)]
-    pub sessions_dropped: u64,
-    /// Startup recovery: chunk records replayed from the WAL.
-    #[serde(default)]
-    pub session_chunks_replayed: u64,
     /// Recent requests that crossed the slow-op threshold, oldest
-    /// first (empty when talking to a daemon predating tracing).
-    #[serde(default)]
+    /// first.
     pub recent_slow_ops: Vec<SlowOpRow>,
 }
 
-impl ServerStatsReport {
+impl ServerStats {
+    /// The snapshot's Prometheus text, then comment lines with a
+    /// percentile summary per histogram, the set hash and the slow ops.
+    /// The whole text still parses as exposition format.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "uptime: {:.1} s\n\
-             connections: {} accepted, {} closed\n\
-             requests: {} total, {} error(s)\n\
-             frames: {} oversized rejected, {} malformed, {} timeout(s)\n\
-             latency: p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} request(s)\n\
-             store: {} profile(s), set hash {}; cache {} hit(s), {} miss(es), {} insertion(s), {} eviction(s)\n",
-            self.uptime_ms as f64 / 1e3,
-            self.connections_accepted,
-            self.connections_closed,
-            self.requests_total,
-            self.errors_total,
-            self.rejected_oversized,
-            self.malformed_frames,
-            self.timeouts,
-            self.latency.p50_us,
-            self.latency.p95_us,
-            self.latency.p99_us,
-            self.latency.max_us,
-            self.latency.count,
-            self.store_profiles,
-            self.store_set_hash,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
-        );
-        out.push_str(&format!(
-            "live: {} session(s) open holding {} byte(s); {} opened, {} sealed, {} aborted, \
-             {} lease(s) reaped, {} chunk(s) appended, {} backpressure rejection(s)\n",
-            self.live_sessions,
-            self.live_open_bytes,
-            self.live_sessions_opened,
-            self.live_sessions_sealed,
-            self.live_sessions_aborted,
-            self.live_leases_reaped,
-            self.live_chunks_appended,
-            self.live_backpressure,
-        ));
-        if self.durable {
-            out.push_str(&format!(
-                "persistence: recovered {} snapshot + {} wal record(s), {} truncated byte(s); \
-                 {} append(s) in {} group commit(s), {} snapshot(s) written, {} io error(s)\n",
-                self.snapshot_records_loaded,
-                self.wal_records_replayed,
-                self.wal_truncated_bytes,
-                self.wal_appends,
-                self.wal_group_commits,
-                self.snapshots_written,
-                self.persist_io_errors,
-            ));
-            out.push_str(&format!(
-                "sessions: {} recovered, {} dropped, {} chunk record(s) replayed\n",
-                self.sessions_recovered, self.sessions_dropped, self.session_chunks_replayed,
-            ));
-        } else {
-            out.push_str("persistence: off (in-memory store)\n");
+        let mut out = self.metrics.render();
+        for (name, h) in self.metrics.histograms() {
+            let _ = writeln!(
+                out,
+                "# {name}: p50 {}, p95 {}, p99 {}, max {} over {} sample(s)",
+                h.percentile(0.50),
+                h.percentile(0.95),
+                h.percentile(0.99),
+                h.max,
+                h.count
+            );
         }
-        for s in &self.store_shards {
-            out.push_str(&format!(
-                "  shard {:>2}: {} profile(s), {} ingest(s), \
-                 {} contended read(s), {} contended write(s)\n",
-                s.shard, s.profiles, s.ingests, s.read_contended, s.write_contended,
-            ));
-        }
-        for op in &self.per_op {
-            out.push_str(&format!(
-                "  op {:<14} {:>8} request(s) {:>6} error(s)\n",
-                op.op, op.requests, op.errors
-            ));
-        }
+        let _ = writeln!(out, "# store set hash {}", self.store_set_hash);
         if !self.recent_slow_ops.is_empty() {
-            out.push_str("recent slow ops:\n");
-            for s in &self.recent_slow_ops {
-                out.push_str(&format!(
-                    "  #{} {:<14} {:>8} µs, {} byte(s){}{}{}{}\n",
-                    s.seq,
-                    s.op,
-                    s.total_us,
-                    s.bytes,
-                    match s.shard {
-                        Some(sh) => format!(", shard {sh}"),
-                        None => String::new(),
-                    },
-                    match s.cache_hit {
-                        Some(true) => ", cache hit",
-                        Some(false) => ", cache miss",
-                        None => "",
-                    },
-                    match s.wal_ack_us {
-                        Some(us) => format!(", wal ack {us} µs"),
-                        None => String::new(),
-                    },
-                    if s.error { ", error" } else { "" },
-                ));
-            }
+            out.push_str("# recent slow ops:\n");
+        }
+        for s in &self.recent_slow_ops {
+            let _ = writeln!(
+                out,
+                "#   #{} {:<14} {:>8} µs, {} byte(s){}{}{}{}",
+                s.seq,
+                s.op,
+                s.total_us,
+                s.bytes,
+                match s.shard {
+                    Some(sh) => format!(", shard {sh}"),
+                    None => String::new(),
+                },
+                match s.cache_hit {
+                    Some(true) => ", cache hit",
+                    Some(false) => ", cache miss",
+                    None => "",
+                },
+                match s.wal_ack_us {
+                    Some(us) => format!(", wal ack {us} µs"),
+                    None => String::new(),
+                },
+                if s.error { ", error" } else { "" },
+            );
         }
         out
     }
@@ -928,9 +783,7 @@ pub enum Response {
     /// Rendered artifact text (aggregate, top, report, views, diff,
     /// store-stats).
     Text(String),
-    /// Boxed: the report (per-op rows + per-shard rows) dwarfs every
-    /// other variant, and `Response` values move through channels.
-    ServerStats(Box<ServerStatsReport>),
+    ServerStats(ServerStats),
     CacheCleared,
     ShuttingDown,
     /// A streaming session is open; stream chunks under this id and

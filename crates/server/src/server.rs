@@ -27,8 +27,8 @@ use crate::http;
 use crate::metrics::{Metrics, OpSlot};
 use crate::protocol::{
     caps, decode_request, encode_response, read_frame, write_frame_flags, FrameError, ProfileEntry,
-    RecvError, ReportFormat, Request, Response, ServerStatsReport, ShardStatRow, SlowOpRow,
-    WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    RecvError, ReportFormat, Request, Response, ServerStats, SlowOpRow, WireError,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use numa_live::{LiveConfig, SessionError, SessionManager};
 use numa_obs::trace::{Span, SpanBody};
@@ -125,7 +125,6 @@ pub struct Server {
     metrics_listener: Option<(TcpListener, SocketAddr)>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
-    started: Instant,
 }
 
 impl Server {
@@ -133,7 +132,7 @@ impl Server {
     /// starting to serve. Also binds the `--metrics-addr` HTTP
     /// listener, if configured, and assembles the metric registry:
     /// every server, store, and live counter is adopted here, so the
-    /// scrape and `server-stats` read the same storage.
+    /// scrape and `server-stats` read the same registry.
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
@@ -177,7 +176,6 @@ impl Server {
             metrics_listener,
             shutdown: Arc::new(AtomicBool::new(false)),
             config,
-            started,
         })
     }
 
@@ -195,18 +193,9 @@ impl Server {
         ShutdownHandle(Arc::clone(&self.shutdown))
     }
 
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// The daemon's metric registry (everything `GET /metrics` serves).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Serve until shutdown, then drain and join every worker. Returns
-    /// the final observability snapshot.
-    pub fn run(self) -> io::Result<ServerStatsReport> {
+    /// the final `server-stats` answer.
+    pub fn run(self) -> io::Result<ServerStats> {
         // Non-blocking accept so the loop can observe the shutdown flag
         // promptly; the listener has no other wake-up mechanism without
         // an async reactor.
@@ -240,7 +229,6 @@ impl Server {
                 slow_ops: Arc::clone(&self.slow_ops),
                 shutdown: Arc::clone(&self.shutdown),
                 config: self.config.clone(),
-                started: self.started,
             };
             workers.push(
                 std::thread::Builder::new()
@@ -294,13 +282,7 @@ impl Server {
         // teardown; open sessions die with the daemon (their staged WAL
         // chunks are dropped as unsealed on the next replay).
         self.sessions.stop();
-        Ok(snapshot_stats(
-            &self.metrics,
-            &self.store,
-            &self.sessions,
-            &self.slow_ops,
-            self.started.elapsed(),
-        ))
+        Ok(server_stats(&self.registry, &self.store, &self.slow_ops))
     }
 }
 
@@ -314,7 +296,6 @@ struct WorkerCtx {
     slow_ops: Arc<SpanRing>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
-    started: Instant,
 }
 
 fn worker_loop(ctx: WorkerCtx) {
@@ -372,7 +353,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                     // capability error and keep serving (older daemons
                     // hung up on any non-zero flags word).
                     (
-                        OpSlot::UNKNOWN,
+                        OpSlot::Unknown,
                         Response::Error(WireError::Unsupported {
                             feature: frame.flags,
                             supported: caps::SUPPORTED,
@@ -381,7 +362,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                 } else {
                     match decode_request(&frame.payload) {
                         Ok(req) => {
-                            let op = OpSlot::of(&req);
+                            let op = req.op_slot();
                             let missing = req.required_caps() & !frame.flags;
                             if missing != 0 {
                                 // A streaming op that did not declare
@@ -402,7 +383,7 @@ fn serve_connection(ctx: &WorkerCtx, mut stream: TcpStream) {
                         Err(e) => {
                             malformed = true;
                             ctx.metrics.malformed_frame();
-                            (OpSlot::UNKNOWN, Response::Error(e))
+                            (OpSlot::Unknown, Response::Error(e))
                         }
                     }
                 };
@@ -606,13 +587,9 @@ fn execute_inner(ctx: &WorkerCtx, req: &Request) -> Response {
             }
         }
         Request::StoreStats => Response::Text(store.stats().render()),
-        Request::ServerStats => Response::ServerStats(Box::new(snapshot_stats(
-            &ctx.metrics,
-            store,
-            &ctx.sessions,
-            &ctx.slow_ops,
-            ctx.started.elapsed(),
-        ))),
+        Request::ServerStats => {
+            Response::ServerStats(server_stats(&ctx.registry, store, &ctx.slow_ops))
+        }
         Request::Metrics => Response::Text(ctx.registry.render()),
         Request::ClearCache => {
             store.clear_cache();
@@ -764,17 +741,11 @@ fn wire_error(e: StoreError) -> WireError {
     }
 }
 
-fn snapshot_stats(
-    metrics: &Metrics,
-    store: &ProfileStore,
-    sessions: &SessionManager,
-    slow_ops: &SpanRing,
-    uptime: Duration,
-) -> ServerStatsReport {
-    let store_stats = store.stats();
-    let persist = store_stats.persist;
-    let live = sessions.stats();
-    // Slow spans arrive from racing workers; order the report by the
+/// The `server-stats` answer. Every number in it comes from one
+/// registry snapshot; the set hash (a content hash, not a metric) and
+/// the retained slow-op spans are the only values read beside it.
+fn server_stats(registry: &Registry, store: &ProfileStore, slow_ops: &SpanRing) -> ServerStats {
+    // Slow spans arrive from racing workers; order the rows by the
     // trace sequence so "oldest first" holds for readers.
     let mut recent_slow_ops: Vec<SlowOpRow> = slow_ops
         .recent(SLOW_OPS_REPORTED)
@@ -791,54 +762,9 @@ fn snapshot_stats(
         })
         .collect();
     recent_slow_ops.sort_by_key(|s| s.seq);
-    ServerStatsReport {
-        uptime_ms: uptime.as_millis().min(u64::MAX as u128) as u64,
-        connections_accepted: metrics.connections_accepted_total(),
-        connections_closed: metrics.connections_closed_total(),
-        requests_total: metrics.requests_total(),
-        errors_total: metrics.errors_total(),
-        rejected_oversized: metrics.rejected_oversized_total(),
-        malformed_frames: metrics.malformed_total(),
-        timeouts: metrics.timeouts_total(),
-        per_op: metrics.per_op(),
-        latency: metrics.latency_summary(),
-        store_profiles: store_stats.profiles,
-        store_set_hash: format!("{:016x}", store_stats.set_hash),
-        cache_hits: store_stats.cache.hits,
-        cache_misses: store_stats.cache.misses,
-        cache_insertions: store_stats.cache.insertions,
-        cache_evictions: store_stats.cache.evictions,
-        durable: persist.durable,
-        snapshot_records_loaded: persist.snapshot_records_loaded,
-        wal_records_replayed: persist.wal_records_replayed,
-        wal_truncated_bytes: persist.wal_truncated_bytes + persist.snapshot_truncated_bytes,
-        wal_appends: persist.wal_appends,
-        wal_group_commits: persist.wal_group_commits,
-        snapshots_written: persist.snapshots_written,
-        persist_io_errors: persist.io_errors,
-        store_shards: store_stats
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| ShardStatRow {
-                shard,
-                profiles: s.profiles,
-                ingests: s.ingests,
-                read_contended: s.read_contended,
-                write_contended: s.write_contended,
-            })
-            .collect(),
-        live_sessions: live.open_sessions as u64,
-        live_open_bytes: live.open_bytes as u64,
-        live_sessions_opened: live.opened,
-        live_sessions_sealed: live.sealed,
-        live_sessions_aborted: live.aborted,
-        live_leases_reaped: live.reaped,
-        live_chunks_appended: live.chunks_appended,
-        live_backpressure: live.backpressure_rejections,
-        sessions_recovered: persist.sessions_recovered,
-        sessions_dropped: persist.sessions_dropped,
-        session_chunks_replayed: persist.session_chunks_replayed,
+    ServerStats {
+        metrics: registry.snapshot(),
+        store_set_hash: format!("{:016x}", store.set_hash()),
         recent_slow_ops,
     }
 }

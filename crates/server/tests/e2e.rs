@@ -40,7 +40,7 @@ fn spawn_server(
     config: ServerConfig,
 ) -> (
     SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
+    std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>>,
 ) {
     let store = Arc::new(ProfileStore::new());
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
@@ -124,32 +124,42 @@ fn eight_concurrent_clients_match_the_single_threaded_oracle() {
     // monotone across percentiles.
     let mut c = Client::connect(addr).expect("connect for stats");
     let stats = c.server_stats().expect("server-stats");
-    assert_eq!(stats.store_profiles, CLIENTS);
-    let ingests = stats
-        .per_op
-        .iter()
-        .find(|o| o.op == "ingest")
-        .expect("ingest op counted");
-    assert_eq!(ingests.requests, (CLIENTS * 2) as u64);
-    let aggregates = stats
-        .per_op
-        .iter()
-        .find(|o| o.op == "aggregate")
-        .expect("aggregate op counted");
-    assert_eq!(aggregates.requests, (CLIENTS * 3) as u64);
-    assert!(stats.latency.count >= (CLIENTS * 11) as u64);
-    assert!(stats.latency.p50_us <= stats.latency.p95_us);
-    assert!(stats.latency.p95_us <= stats.latency.p99_us);
-    assert!(stats.latency.p99_us <= stats.latency.max_us.max(stats.latency.p99_us));
+    let series = |key: &str| stats.metrics.get(key).expect(key);
+    assert_eq!(series("numa_store_profiles"), CLIENTS as i128);
+    assert_eq!(
+        series("numa_server_requests_total{op=\"ingest\"}"),
+        (CLIENTS * 2) as i128
+    );
+    assert_eq!(
+        series("numa_server_requests_total{op=\"aggregate\"}"),
+        (CLIENTS * 3) as i128
+    );
+    let latency = stats
+        .metrics
+        .histogram("numa_server_request_latency_us")
+        .expect("latency histogram");
+    let (p50, p95, p99) = (
+        latency.percentile(0.50),
+        latency.percentile(0.95),
+        latency.percentile(0.99),
+    );
+    assert!(latency.count >= (CLIENTS * 11) as u64);
+    assert!(p50 <= p95);
+    assert!(p95 <= p99);
+    assert!(p99 <= latency.max);
     // The repeated aggregate/top/report queries hit the memo cache.
     assert!(
-        stats.cache_hits > 0,
+        series("numa_store_cache_hits_total") > 0,
         "warm queries must be served from the cache: {stats:?}"
     );
 
     c.shutdown().expect("shutdown");
     let final_stats = server.join().expect("server thread").expect("run ok");
-    assert_eq!(final_stats.errors_total, 0, "{final_stats:?}");
+    assert_eq!(
+        final_stats.metrics.sum("numa_server_errors_total"),
+        Some(0),
+        "{final_stats:?}"
+    );
 }
 
 #[test]
@@ -164,7 +174,7 @@ fn shutdown_answers_the_in_flight_request_then_drains() {
     // it must still be answered (that is the drain contract).
     b.shutdown().expect("shutdown answered");
     let stats = server.join().expect("server thread").expect("run ok");
-    assert_eq!(stats.store_profiles, 1);
+    assert_eq!(stats.metrics.get("numa_store_profiles"), Some(1));
 
     // After drain the daemon is gone: new exchanges fail.
     let err = a.ping();
@@ -253,8 +263,14 @@ fn malformed_and_oversized_frames_get_typed_errors_and_the_daemon_survives() {
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("still alive");
     let stats = c.server_stats().expect("stats");
-    assert!(stats.rejected_oversized >= 1, "{stats:?}");
-    assert!(stats.malformed_frames >= 2, "{stats:?}");
+    assert!(
+        stats.metrics.get("numa_server_rejected_oversized_total") >= Some(1),
+        "{stats:?}"
+    );
+    assert!(
+        stats.metrics.get("numa_server_malformed_frames_total") >= Some(2),
+        "{stats:?}"
+    );
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");
@@ -308,7 +324,10 @@ fn request_level_errors_keep_the_connection_usable() {
     assert_eq!(label, "dup");
 
     let stats = c.server_stats().expect("stats");
-    assert!(stats.errors_total >= 4, "{stats:?}");
+    assert!(
+        stats.metrics.sum("numa_server_errors_total") >= Some(4),
+        "{stats:?}"
+    );
 
     c.shutdown().expect("shutdown");
     server.join().expect("join").expect("run ok");
@@ -329,7 +348,10 @@ fn idle_connections_time_out_without_killing_the_daemon() {
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after idle drop");
     let stats = c.server_stats().expect("stats");
-    assert!(stats.timeouts >= 1, "{stats:?}");
+    assert!(
+        stats.metrics.get("numa_server_timeouts_total") >= Some(1),
+        "{stats:?}"
+    );
     drop(idle);
 
     c.shutdown().expect("shutdown");

@@ -43,7 +43,7 @@ fn spawn_server_with_store(
     store: Arc<ProfileStore>,
 ) -> (
     SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
+    std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>>,
 ) {
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
     let addr = server.local_addr();
@@ -55,7 +55,7 @@ fn spawn_server(
     config: ServerConfig,
 ) -> (
     SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
+    std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>>,
 ) {
     spawn_server_with_store(config, Arc::new(ProfileStore::new()))
 }
@@ -115,7 +115,10 @@ fn stalled_mid_frame_reads_time_out_and_are_counted() {
     let mut c = Client::connect(addr).expect("connect");
     c.ping().expect("alive after stalled peer");
     let stats = c.server_stats().expect("stats");
-    assert!(stats.timeouts >= 1, "{stats:?}");
+    assert!(
+        stats.metrics.get("numa_server_timeouts_total") >= Some(1),
+        "{stats:?}"
+    );
     drop(stalled);
 
     c.shutdown().expect("shutdown");

@@ -44,7 +44,7 @@ fn spawn_server(
     config: ServerConfig,
 ) -> (
     SocketAddr,
-    std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>>,
+    std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>>,
 ) {
     let store = Arc::new(ProfileStore::new());
     let server = Server::bind("127.0.0.1:0", config, store).expect("bind ephemeral");
@@ -91,14 +91,26 @@ fn streamed_profiles_match_oneshot_over_tcp() {
     assert_eq!(id2, id);
 
     let stats = c.server_stats().expect("server stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_open_bytes, 0);
-    assert_eq!(stats.live_sessions_opened, 2);
-    assert_eq!(stats.live_sessions_sealed, 2);
-    assert_eq!(stats.live_chunks_appended, chunks + 5);
-    assert_eq!(stats.store_profiles, 2);
+    assert_eq!(stats.metrics.get("numa_live_open_sessions"), Some(0));
+    assert_eq!(stats.metrics.get("numa_live_open_bytes"), Some(0));
+    assert_eq!(
+        stats.metrics.get("numa_live_sessions_opened_total"),
+        Some(2)
+    );
+    assert_eq!(
+        stats.metrics.get("numa_live_sessions_sealed_total"),
+        Some(2)
+    );
+    assert_eq!(
+        stats.metrics.get("numa_live_chunks_appended_total"),
+        Some((chunks + 5) as i128)
+    );
+    assert_eq!(stats.metrics.get("numa_store_profiles"), Some(2));
     let rendered = stats.render();
-    assert!(rendered.contains("2 sealed"), "{rendered}");
+    assert!(
+        rendered.contains("\nnuma_live_sessions_sealed_total 2\n"),
+        "{rendered}"
+    );
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -165,8 +177,11 @@ fn streaming_errors_are_typed_and_keep_the_connection() {
     c.ping().expect("connection survives typed errors");
     assert!(c.list().expect("list").is_empty());
     let stats = c.server_stats().expect("stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_sessions_aborted, 1);
+    assert_eq!(stats.metrics.get("numa_live_open_sessions"), Some(0));
+    assert_eq!(
+        stats.metrics.get("numa_live_sessions_aborted_total"),
+        Some(1)
+    );
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");
@@ -331,10 +346,12 @@ fn dead_clients_are_reaped_and_nothing_is_half_ingested() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = c.server_stats().expect("stats");
-        if stats.live_leases_reaped >= 1 {
-            assert_eq!(stats.live_sessions, 0);
-            assert_eq!(stats.live_open_bytes, 0);
-            assert!(stats.render().contains("1 lease(s) reaped"));
+        if stats.metrics.get("numa_live_sessions_reaped_total") >= Some(1) {
+            assert_eq!(stats.metrics.get("numa_live_open_sessions"), Some(0));
+            assert_eq!(stats.metrics.get("numa_live_open_bytes"), Some(0));
+            assert!(stats
+                .render()
+                .contains("\nnuma_live_sessions_reaped_total 1\n"));
             break;
         }
         assert!(

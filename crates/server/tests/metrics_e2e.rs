@@ -1,6 +1,7 @@
-//! End-to-end observability tests: the `metrics` wire op and the
-//! embedded `GET /metrics` responder must expose exactly the counters
-//! `server-stats` reports (one storage location, two readers), scrapes
+//! End-to-end observability tests: the `metrics` wire op, the embedded
+//! `GET /metrics` responder and `server-stats` must all read the one
+//! metric registry (hot-path counts by value, every series on every
+//! surface), scrapes
 //! racing ingest must never see torn histogram snapshots, slow-op
 //! tracing must survive concurrent writers, and the live-session
 //! gauges must track aborts and lease reaps exactly.
@@ -46,7 +47,7 @@ fn spawn_server(config: ServerConfig, store: Arc<ProfileStore>) -> (Server, Sock
 
 fn run_server(
     server: Server,
-) -> std::thread::JoinHandle<std::io::Result<numa_server::ServerStatsReport>> {
+) -> std::thread::JoinHandle<std::io::Result<numa_server::ServerStats>> {
     std::thread::spawn(move || server.run())
 }
 
@@ -127,106 +128,38 @@ fn scrape_matches_server_stats_after_a_mixed_workload() {
         ("numa_live_open_sessions", 0),
         ("numa_live_open_bytes", 0),
         ("numa_live_sessions_opened_total", 0),
+        ("numa_store_durable", 0),
+        ("numa_store_truncated_bytes", 0),
+        ("numa_store_session_chunks_replayed", 0),
     ];
     for (key, want) in expected {
         assert_eq!(series(&scrape, key), *want, "series {key}");
     }
+    assert_eq!(report.metrics.sum("numa_store_shard_profiles"), Some(2));
 
-    // Counter parity: every migrated counter in the `server-stats`
-    // report equals its scraped series — same storage, two surfaces.
-    // (`server-stats` renders its report before recording its own
-    // request, so its op count is one behind the later scrape.)
-    let parity: &[(&str, u64)] = &[
-        ("numa_store_cache_hits_total", report.cache_hits),
-        ("numa_store_cache_misses_total", report.cache_misses),
-        ("numa_store_cache_insertions_total", report.cache_insertions),
-        ("numa_store_cache_evictions_total", report.cache_evictions),
-        ("numa_store_dedup_hits_total", 1),
-        ("numa_store_wal_appends_total", report.wal_appends),
-        (
-            "numa_store_wal_group_commits_total",
-            report.wal_group_commits,
-        ),
-        (
-            "numa_store_snapshots_written_total",
-            report.snapshots_written,
-        ),
-        (
-            "numa_store_persist_io_errors_total",
-            report.persist_io_errors,
-        ),
-        ("numa_live_open_sessions", report.live_sessions),
-        ("numa_live_open_bytes", report.live_open_bytes),
-        (
-            "numa_live_sessions_opened_total",
-            report.live_sessions_opened,
-        ),
-        (
-            "numa_live_sessions_sealed_total",
-            report.live_sessions_sealed,
-        ),
-        (
-            "numa_live_sessions_aborted_total",
-            report.live_sessions_aborted,
-        ),
-        ("numa_live_sessions_reaped_total", report.live_leases_reaped),
-        (
-            "numa_live_chunks_appended_total",
-            report.live_chunks_appended,
-        ),
-        (
-            "numa_live_backpressure_rejections_total",
-            report.live_backpressure,
-        ),
-        (
-            "numa_server_connections_accepted_total",
-            report.connections_accepted,
-        ),
-        (
-            "numa_server_rejected_oversized_total",
-            report.rejected_oversized,
-        ),
-        (
-            "numa_server_malformed_frames_total",
-            report.malformed_frames,
-        ),
-        ("numa_server_timeouts_total", report.timeouts),
-    ];
-    for (key, want) in parity {
-        assert_eq!(series(&scrape, key), *want as i128, "parity for {key}");
-    }
-    for op in &report.per_op {
-        let adjust = if op.op == "server-stats" { 1 } else { 0 };
+    // `server-stats` ships one snapshot of the same registry: after the
+    // wire round trip it carries every scraped series. Only what its
+    // own request moved differs (its op count, which it renders before
+    // recording, the latency histogram and the uptime clock).
+    let stats = parse_metrics(&report.metrics.render());
+    let mut keys: Vec<&String> = stats.keys().collect();
+    let mut scraped: Vec<&String> = scrape.keys().collect();
+    keys.sort();
+    scraped.sort();
+    assert_eq!(keys, scraped);
+    for (key, value) in &stats {
+        if key.starts_with("numa_server_request_latency_us") || key == "numa_server_uptime_seconds"
+        {
+            continue;
+        }
+        let own = (key == "numa_server_requests_total{op=\"server-stats\"}") as i128;
         assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_server_requests_total{{op=\"{}\"}}", op.op)
-            ),
-            (op.requests + adjust) as i128,
-            "per-op parity for {}",
-            op.op
-        );
-        assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_server_errors_total{{op=\"{}\"}}", op.op)
-            ),
-            op.errors as i128,
-            "per-op error parity for {}",
-            op.op
+            value + own,
+            series(&scrape, key),
+            "server-stats vs scrape for {key}"
         );
     }
-    for row in &report.store_shards {
-        assert_eq!(
-            series(
-                &scrape,
-                &format!("numa_store_shard_ingests_total{{shard=\"{}\"}}", row.shard)
-            ),
-            row.ingests as i128,
-            "shard {} ingest parity",
-            row.shard
-        );
-    }
+
     // The request-latency histogram rides along with a consistent
     // count: le="+Inf" equals _count by construction.
     assert_eq!(
@@ -255,17 +188,15 @@ fn durable_counters_appear_in_the_scrape() {
     let report = c.server_stats().expect("stats");
     let scrape = parse_metrics(&c.metrics().expect("metrics"));
 
-    assert!(report.durable);
-    assert_eq!(report.wal_appends, 2);
+    let stats = &report.metrics;
+    assert_eq!(stats.get("numa_store_durable"), Some(1));
+    assert_eq!(stats.get("numa_store_wal_appends_total"), Some(2));
+    assert_eq!(series(&scrape, "numa_store_wal_appends_total"), 2);
     assert_eq!(
-        series(&scrape, "numa_store_wal_appends_total"),
-        report.wal_appends as i128
+        stats.get("numa_store_wal_group_commits_total"),
+        Some(series(&scrape, "numa_store_wal_group_commits_total"))
     );
-    assert_eq!(
-        series(&scrape, "numa_store_wal_group_commits_total"),
-        report.wal_group_commits as i128
-    );
-    assert!(report.wal_group_commits >= 1);
+    assert!(series(&scrape, "numa_store_wal_group_commits_total") >= 1);
     assert!(series(&scrape, "numa_store_wal_bytes") > 0);
 
     c.shutdown().expect("shutdown");
@@ -345,9 +276,13 @@ fn scrapes_racing_ingest_never_see_torn_latency_snapshots() {
     let mut c = Client::connect(addr).expect("observer connect");
     for _ in 0..50 {
         let stats = c.server_stats().expect("stats");
-        assert!(stats.latency.p50_us <= stats.latency.p95_us);
-        assert!(stats.latency.p95_us <= stats.latency.p99_us);
-        assert!(stats.latency.p99_us <= stats.latency.max_us);
+        let latency = stats
+            .metrics
+            .histogram("numa_server_request_latency_us")
+            .expect("latency histogram");
+        assert!(latency.percentile(0.50) <= latency.percentile(0.95));
+        assert!(latency.percentile(0.95) <= latency.percentile(0.99));
+        assert!(latency.percentile(0.99) <= latency.max);
         let scrape = parse_metrics(&c.metrics().expect("metrics"));
         assert_eq!(
             series(
@@ -580,8 +515,8 @@ fn abort_racing_durable_appends_leaves_no_gauge_residue() {
     assert_eq!(series(&scrape, "numa_live_open_sessions"), 0);
     assert_eq!(series(&scrape, "numa_live_open_bytes"), 0);
     let stats = c.server_stats().expect("stats");
-    assert_eq!(stats.live_sessions, 0);
-    assert_eq!(stats.live_open_bytes, 0);
+    assert_eq!(stats.metrics.get("numa_live_open_sessions"), Some(0));
+    assert_eq!(stats.metrics.get("numa_live_open_bytes"), Some(0));
 
     c.shutdown().expect("shutdown");
     server.join().unwrap().expect("server run");

@@ -882,6 +882,13 @@ impl ProfileStore {
                 &[("shard", &label)],
                 shard.write_contended.clone(),
             );
+            let store = Arc::clone(self);
+            registry.gauge_fn(
+                "numa_store_shard_profiles",
+                "Profiles resident, by shard.",
+                &[("shard", &label)],
+                move || store.shards.shards[i].read().profiles.len() as i64,
+            );
         }
         let store = Arc::clone(self);
         registry.gauge_fn(
@@ -896,6 +903,13 @@ impl ProfileStore {
             "Artifacts resident in the memo cache.",
             &[],
             move || store.cache.len() as i64,
+        );
+        let store = Arc::clone(self);
+        registry.gauge_fn(
+            "numa_store_durable",
+            "1 when the store is backed by a data directory, else 0.",
+            &[],
+            move || store.is_durable() as i64,
         );
         let store = Arc::clone(self);
         registry.counter_fn(
@@ -948,6 +962,16 @@ impl ProfileStore {
         );
         let store = Arc::clone(self);
         registry.counter_fn(
+            "numa_store_truncated_bytes",
+            "Torn or corrupt tail bytes dropped at startup, WAL and snapshot together.",
+            &[],
+            move || {
+                let p = store.persist_stats();
+                p.wal_truncated_bytes + p.snapshot_truncated_bytes
+            },
+        );
+        let store = Arc::clone(self);
+        registry.counter_fn(
             "numa_store_sessions_recovered_total",
             "Streaming sessions recovered whole at startup.",
             &[],
@@ -959,6 +983,13 @@ impl ProfileStore {
             "Streaming sessions dropped at startup (unsealed or corrupt).",
             &[],
             move || store.persist_stats().sessions_dropped,
+        );
+        let store = Arc::clone(self);
+        registry.counter_fn(
+            "numa_store_session_chunks_replayed",
+            "Session chunk records replayed at startup.",
+            &[],
+            move || store.persist_stats().session_chunks_replayed,
         );
     }
 
